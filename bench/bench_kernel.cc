@@ -13,7 +13,12 @@
  *   4. a fig08-style sweep serially and with --jobs=4 via runSweep();
  *   5. kernel allocation counters: pool chunk mallocs and spilled
  *      (heap-allocated) captures — steady state should be zero
- *      spills and a handful of chunks.
+ *      spills and a handful of chunks;
+ *   6. transaction-boundary work on a ycsb-a TLR run: commits plus
+ *      aborts, and the L1 lines looked up to clear access and pin
+ *      bits (a deterministic count, hard-gated in CI: the tracked
+ *      clear visits a transaction's footprint, where a full scan
+ *      would visit every one of the L1's 2048 lines).
  *
  * Usage: bench_kernel [--json=FILE] [--quick]
  * CI runs this and uploads the JSON; compare events/sec across
@@ -130,6 +135,28 @@ fullSim(int reps, double *events_per_sec, double *sims_per_sec,
     *events_per_sec = static_cast<double>(events) / dt;
     *sims_per_sec = reps / dt;
     *events_out = events;
+}
+
+// 6. Boundary work: one ycsb-a TLR run, summed over every L1.
+L1Controller::BoundaryWork
+boundaryWork(std::uint64_t ops)
+{
+    WorkloadParams wp;
+    wp.numCpus = 8;
+    wp.ops = ops;
+    wp.lockKind = schemeLockKind(Scheme::BaseSleTlr);
+    MachineParams mp;
+    mp.numCpus = 8;
+    mp.spec = schemeSpecConfig(Scheme::BaseSleTlr);
+    System sys(mp);
+    installWorkload(sys, makeRegisteredWorkload("ycsb-a", wp));
+    sys.run();
+    L1Controller::BoundaryWork total;
+    for (int i = 0; i < sys.numCpus(); ++i) {
+        total.boundaries += sys.l1(i).boundaryWork().boundaries;
+        total.linesVisited += sys.l1(i).boundaryWork().linesVisited;
+    }
+    return total;
 }
 
 // 4. fig08-style sweep: multiple-counter grid, serial vs jobs=4.
@@ -463,6 +490,11 @@ main(int argc, char **argv)
     std::vector<SweepTask> tasks = sweepTasks(sweepOps);
     double sweepSerial = sweepWall(tasks, 1);
     double sweepJobs4 = sweepWall(tasks, 4);
+    L1Controller::BoundaryWork bw = boundaryWork(quick ? 256 : 1024);
+    double linesPerBoundary =
+        bw.boundaries ? static_cast<double>(bw.linesVisited) /
+                            static_cast<double>(bw.boundaries)
+                      : 0;
 
     char buf[1024];
     std::snprintf(
@@ -480,6 +512,9 @@ main(int argc, char **argv)
         "  \"sim_inline_captures\": %llu,\n"
         "  \"sweep_fig08_serial_sec\": %.3f,\n"
         "  \"sweep_fig08_jobs4_sec\": %.3f,\n"
+        "  \"ycsb_a_boundaries\": %llu,\n"
+        "  \"ycsb_a_boundary_lines\": %llu,\n"
+        "  \"ycsb_a_lines_per_boundary\": %.3f,\n"
         "  \"host_threads\": %u\n"
         "}\n",
         statsSchemaVersion, evSmall, evLarge,
@@ -488,7 +523,9 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(ks.poolChunks),
         static_cast<unsigned long long>(ks.spilledEvents),
         static_cast<unsigned long long>(ks.inlineEvents), sweepSerial,
-        sweepJobs4, defaultJobs());
+        sweepJobs4, static_cast<unsigned long long>(bw.boundaries),
+        static_cast<unsigned long long>(bw.linesVisited),
+        linesPerBoundary, defaultJobs());
     std::fputs(buf, stdout);
     if (!jsonFile.empty()) {
         std::ofstream out(jsonFile);

@@ -2,6 +2,7 @@
 
 #include "sim/logging.hh"
 #include "sim/parallel_kernel.hh"
+#include "trace/checkers.hh"
 
 namespace tlr
 {
@@ -397,7 +398,7 @@ L1Controller::access(const CacheOp &op)
             ++hits_;
             array_.touch(*l, eq_.now());
             if (op.spec)
-                l->accessRead = true;
+                markRead(*l);
             if (op.isLl) {
                 linkValid_ = true;
                 linkLine_ = la;
@@ -436,7 +437,7 @@ L1Controller::access(const CacheOp &op)
         if (l && isWritableState(l->state)) {
             ++hits_;
             array_.touch(*l, eq_.now());
-            l->accessWrite = true;
+            markWrite(*l);
             // The current word value is returned so speculative
             // atomics can read-modify-write through the write buffer.
             if (op.spec && TLR_TRACE_ARMED(trace_))
@@ -686,7 +687,7 @@ L1Controller::handleOwnerSnoop(CacheLine &line, const BusRequest &req,
                              req.ts.clock, packTsMeta(req.ts));
             ++defers_;
             deferred_.push_back({la, req.requester, req.type, req.ts});
-            line.pinned = true;
+            pin(line);
             if (TLR_TRACE_ARMED(trace_))
                 trace_->emit(eq_.now(), TraceComp::L1,
                              TraceEvent::CohDeferDepth, id_, 0,
@@ -893,7 +894,7 @@ L1Controller::finishOp(Mshr &mshr, CacheLine *line, const LineData &data)
       case CacheOp::Kind::LoadExclusive: {
         std::uint64_t v = line ? line->data[wi] : data[wi];
         if (op.spec && line)
-            line->accessRead = true;
+            markRead(*line);
         if (op.isLl && line) {
             linkValid_ = true;
             linkLine_ = lineAlign(op.addr);
@@ -919,7 +920,7 @@ L1Controller::finishOp(Mshr &mshr, CacheLine *line, const LineData &data)
       case CacheOp::Kind::EnsureExclusive:
         if (!line || !isWritableState(line->state))
             panic("l1 %d: ensureX fill without write permission", id_);
-        line->accessWrite = true;
+        markWrite(*line);
         if (op.spec && TLR_TRACE_ARMED(trace_))
             trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::TxnRead,
                          id_, op.addr, line->data[wi]);
@@ -1006,7 +1007,7 @@ L1Controller::dataResponse(const DataMsg &msg)
     for (const Waiter &w : m.waiters) {
         if (keepDeferring) {
             deferred_.push_back({msg.line, w.cpu, w.type, w.ts});
-            l->pinned = true;
+            pin(*l);
         } else {
             serviceWaiter(w, msg.line);
         }
@@ -1187,9 +1188,7 @@ L1Controller::commitTransaction(const WriteBuffer &wb)
             }
         l->state = CohState::Modified;
     }
-    array_.forEachValid([](CacheLine &l) { l.clearAccess(); });
-    for (auto &v : victim_.entries())
-        v.clearAccess();
+    clearAccessBits();
     serviceDeferredQueue(/*at_commit=*/true);
 }
 
@@ -1203,10 +1202,80 @@ L1Controller::abortTransaction()
         if (m.queuedOp && m.queuedOp->spec)
             m.queuedOp.reset();
     }
-    array_.forEachValid([](CacheLine &l) { l.clearAccess(); });
+    clearAccessBits();
+    serviceDeferredQueue(/*at_commit=*/false);
+}
+
+void
+L1Controller::markRead(CacheLine &line)
+{
+    if (!line.inTransaction())
+        markedLines_.push_back(line.addr);
+    line.accessRead = true;
+}
+
+void
+L1Controller::markWrite(CacheLine &line)
+{
+    if (!line.inTransaction())
+        markedLines_.push_back(line.addr);
+    line.accessWrite = true;
+}
+
+void
+L1Controller::pin(CacheLine &line)
+{
+    if (!line.pinned)
+        pinnedLines_.push_back(line.addr);
+    line.pinned = true;
+}
+
+void
+L1Controller::clearAccessBits()
+{
+    // find(), not findLine(): a lookup here must not promote victim
+    // lines, or clearing would move LRU and victim-cache state.
+    ++boundaryWork_.boundaries;
+    boundaryWork_.linesVisited += markedLines_.size();
+    for (Addr la : markedLines_)
+        if (CacheLine *l = array_.find(la))
+            l->clearAccess();
+    markedLines_.clear();
     for (auto &v : victim_.entries())
         v.clearAccess();
-    serviceDeferredQueue(/*at_commit=*/false);
+}
+
+void
+L1Controller::clearPins()
+{
+    boundaryWork_.linesVisited += pinnedLines_.size();
+    for (Addr la : pinnedLines_)
+        if (CacheLine *l = array_.find(la))
+            l->pinned = false;
+    pinnedLines_.clear();
+    for (auto &v : victim_.entries())
+        v.pinned = false;
+    if (invariants_)
+        checkCleared();
+}
+
+void
+L1Controller::checkCleared() const
+{
+    // Oracle for the tracked clears: a full scan of the array, once
+    // per boundary after both clears (the drain between them sets no
+    // bits). Any survivor means a set site bypassed
+    // markRead/markWrite/pin.
+    for (const CacheLine &l : array_.lines()) {
+        if (!(l.inTransaction() || l.pinned) || !isValidState(l.state))
+            continue;
+        invariants_->violation(
+            "boundary-clear", eq_.now(),
+            strfmt("l1 %d: line %#llx keeps read=%d write=%d pin=%d "
+                   "after the boundary clear",
+                   id_, static_cast<unsigned long long>(l.addr),
+                   l.accessRead, l.accessWrite, l.pinned));
+    }
 }
 
 void
@@ -1229,9 +1298,7 @@ L1Controller::serviceDeferredQueue(bool at_commit)
     probeHints_.clear();
     yieldArmed_ = false;
     ++yieldGen_;
-    array_.forEachValid([](CacheLine &l) { l.pinned = false; });
-    for (auto &v : victim_.entries())
-        v.pinned = false;
+    clearPins();
 }
 
 //
@@ -1285,7 +1352,7 @@ L1Controller::markTransactionalRead(Addr addr)
     if (!l)
         panic("l1 %d: markTransactionalRead on absent line %#llx", id_,
               static_cast<unsigned long long>(addr));
-    l->accessRead = true;
+    markRead(*l);
 }
 
 void
@@ -1296,7 +1363,7 @@ L1Controller::markTransactionalWrite(Addr addr)
         panic("l1 %d: markTransactionalWrite needs a writable line "
               "%#llx",
               id_, static_cast<unsigned long long>(addr));
-    l->accessWrite = true;
+    markWrite(*l);
 }
 
 void

@@ -57,6 +57,7 @@ struct L1Params
 };
 
 class FabricPort;
+struct CheckerContext;
 
 class L1Controller : public Snooper
 {
@@ -65,6 +66,12 @@ class L1Controller : public Snooper
                  Interconnect &net, MemoryController &mem, SpecHooks &hooks);
 
     void setTrace(TraceSink *sink) { trace_ = sink; }
+
+    /** Arm the boundary-clear oracle (--check-invariants): at the end
+     *  of every commit or abort, scan the whole array and report any
+     *  valid line that kept an access or pin bit as a violation
+     *  through @p ctx. */
+    void setInvariantContext(CheckerContext *ctx) { invariants_ = ctx; }
 
     /** Route fabric traffic (submits, data/marker/probe sends,
      *  writebacks) through a parallel-kernel FabricPort instead of
@@ -126,6 +133,17 @@ class L1Controller : public Snooper
      *  marked deferred in MSHRs (metrics counter-track sampling). */
     std::uint64_t deferredDepth() const;
     std::uint64_t peekWord(Addr addr) const;
+
+    /** Host-side work done at transaction boundaries: commits plus
+     *  aborts, and the tracked lines looked up to clear their access
+     *  and pin bits. Deterministic, but deliberately not a StatSet
+     *  counter so stats dumps do not change. */
+    struct BoundaryWork
+    {
+        std::uint64_t boundaries = 0;
+        std::uint64_t linesVisited = 0;
+    };
+    const BoundaryWork &boundaryWork() const { return boundaryWork_; }
 
   private:
     struct Waiter
@@ -191,6 +209,12 @@ class L1Controller : public Snooper
     void clearLinkIf(Addr line_addr);
     bool conflicts(const BusRequest &req, bool read_set,
                    bool write_set) const;
+    void markRead(CacheLine &line);
+    void markWrite(CacheLine &line);
+    void pin(CacheLine &line);
+    void clearAccessBits();
+    void clearPins();
+    void checkCleared() const;
     bool winsConflict(const Timestamp &incoming) const;
     /** @} */
 
@@ -224,6 +248,18 @@ class L1Controller : public Snooper
      *  "the timestamp order must be enforced" once another block is
      *  accessed). Cleared when the deferred queue drains. */
     std::map<Addr, Timestamp> probeHints_;
+
+    /** Lines whose access bits (markedLines_) or pin (pinnedLines_)
+     *  went from clear to set since the last boundary clear. The
+     *  paper's hardware flash-clears these bits; clearing only the
+     *  listed lines keeps commit, abort and drain O(footprint) rather
+     *  than a scan of every line in the array. Pins get their own
+     *  list because they are cleared after the deferred queue drains,
+     *  not with the access bits. */
+    std::vector<Addr> markedLines_;
+    std::vector<Addr> pinnedLines_;
+    BoundaryWork boundaryWork_;
+    CheckerContext *invariants_ = nullptr;
 
     bool linkValid_ = false;
     Addr linkLine_ = 0;

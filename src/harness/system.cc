@@ -110,6 +110,8 @@ System::System(const MachineParams &params)
         engines_.back()->setL1(l1s_.back().get());
         engines_.back()->setTrace(csink);
         l1s_.back()->setTrace(csink);
+        if (checkers_)
+            l1s_.back()->setInvariantContext(&checkers_->context());
         if (kernel_) {
             l1s_.back()->setPort(&kernel_->port(i + 1));
             kernel_->addSnooper(l1s_.back().get());

@@ -65,12 +65,4 @@ CacheArray::allocateSlot(Addr line_addr)
     return victim;
 }
 
-void
-CacheArray::forEachValid(const std::function<void(CacheLine &)> &fn)
-{
-    for (auto &l : lines_)
-        if (isValidState(l.state))
-            fn(l);
-}
-
 } // namespace tlr

@@ -7,7 +7,6 @@
 #define TLR_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mem/line.hh"
@@ -47,8 +46,10 @@ class CacheArray
     unsigned numSets() const { return numSets_; }
     unsigned numWays() const { return ways_; }
 
-    /** Iterate all valid lines (snoop conflict scans in tests, dumps). */
-    void forEachValid(const std::function<void(CacheLine &)> &fn);
+    /** Every slot, valid or not, in set-major order. Only the
+     *  --check-invariants boundary-clear oracle walks the whole array;
+     *  the hot paths look lines up with find(). */
+    const std::vector<CacheLine> &lines() const { return lines_; }
 
   private:
     unsigned setIndex(Addr line_addr) const

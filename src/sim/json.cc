@@ -22,6 +22,12 @@ JsonValue::find(const std::string &key) const
 namespace
 {
 
+/** Deepest object/array nesting accepted. The parser recurses once per
+ *  level, so hostile input such as 200,000 '[' would otherwise
+ *  overflow the stack; the repo's own documents nest a handful of
+ *  levels deep. */
+constexpr unsigned maxJsonDepth = 256;
+
 class Parser
 {
   public:
@@ -74,10 +80,15 @@ class Parser
         if (pos_ >= s_.size())
             return fail("unexpected end of input");
         char c = s_[pos_];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
+        if (c == '{' || c == '[') {
+            if (depth_ == maxJsonDepth)
+                return fail(strfmt("nesting deeper than %u levels",
+                                   maxJsonDepth));
+            ++depth_;
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
+        }
         if (c == '"') {
             out.kind = JsonValue::Kind::String;
             return parseString(out.string);
@@ -222,6 +233,7 @@ class Parser
     const std::string &s_;
     std::string &err_;
     size_t pos_ = 0;
+    unsigned depth_ = 0;
 };
 
 } // namespace

@@ -7,8 +7,9 @@
  * covering the full JSON grammar the repo emits: objects (member order
  * preserved), arrays, numbers (held as double — exact for the < 2^53
  * counter values we dump), strings with the common escapes, booleans
- * and null. It is a reader for trusted tool input, not a hardened
- * general-purpose parser.
+ * and null. It is a reader for tool input, not a general-purpose
+ * parser; it does bound object/array nesting, so hostile input fails
+ * with an error instead of overflowing the stack.
  */
 
 #ifndef TLR_SIM_JSON_HH

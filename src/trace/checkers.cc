@@ -286,9 +286,17 @@ AtomicityChecker::onRecord(const TraceRecord &r)
 {
     switch (r.kind) {
       case TraceEvent::TxnElide:
+        // An outermost elision starts a new transaction, so it starts
+        // a fresh read set. A speculative miss issued in the same tick
+        // as a restart can fill (and emit TxnRead) between the restart
+        // and this elide; that read belongs to the squashed attempt,
+        // not to this transaction.
+        readSets_.erase(r.cpu);
+        [[fallthrough]];
       case TraceEvent::TxnNest:
         // Eliding reads the lock word and predicts it free; that read
-        // is part of the transaction's read set.
+        // is part of the transaction's read set. A nested elision
+        // keeps appending to the enclosing transaction's set.
         noteRead(r.cpu, r.addr, r.a0, r.tick);
         return;
       case TraceEvent::TxnRead:

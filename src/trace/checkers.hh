@@ -158,6 +158,9 @@ class InvariantRegistry : public TraceListener
 
     std::uint64_t violations() const;
     AtomicityChecker &atomicity() { return atomicity_; }
+    /** Shared violation path for checks that live outside the trace
+     *  stream (the L1 boundary-clear oracle). */
+    CheckerContext &context() { return ctx_; }
 
   private:
     CheckerContext ctx_;

@@ -18,6 +18,7 @@
 #include "mem/backing_store.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "trace/checkers.hh"
 
 using namespace tlr;
 
@@ -276,4 +277,55 @@ TEST(Controller, DebugStateRendersMshrsAndDeferred)
     r.eq.run(2'000);
     std::string dump = r.l1a.debugState();
     EXPECT_NE(dump.find("DEFERRED"), std::string::npos);
+}
+
+TEST(Controller, BoundaryClearVisitsOnlyTheFootprint)
+{
+    Rig r;
+    CheckerContext ctx;
+    ctx.stats = &r.stats;
+    ctx.keepGoing = true;
+    r.l1a.setInvariantContext(&ctx);
+    constexpr Addr lineB = lineA + 2 * lineBytes;
+
+    // cpu0 reads two lines transactionally; cpu1's later-timestamp
+    // write to one of them is deferred, pinning that line.
+    r.hooks0.spec = r.hooks0.tlr = true;
+    r.hooks0.ts = Timestamp::make(1, 0);
+    r.access(r.l1a, CacheOp::Kind::LoadExclusive, lineA, 0, true);
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineB, 0, true);
+    r.run();
+    r.hooks1.spec = r.hooks1.tlr = true;
+    r.hooks1.ts = Timestamp::make(5, 1);
+    r.access(r.l1b, CacheOp::Kind::EnsureExclusive, lineA, 0, true);
+    r.eq.run(2'000);
+    ASSERT_EQ(r.l1a.deferredCount(), 1u);
+
+    // The commit looks up the two marked lines and the one pinned
+    // line, not the 2048 lines of the array.
+    WriteBuffer wb(4);
+    r.hooks0.spec = false;
+    r.l1a.commitTransaction(wb);
+    r.run();
+    EXPECT_EQ(r.l1a.boundaryWork().boundaries, 1u);
+    EXPECT_EQ(r.l1a.boundaryWork().linesVisited, 3u);
+
+    // lineB left the read set at commit: a remote write now proceeds
+    // without aborting or deferring anything.
+    r.hooks0.spec = r.hooks0.tlr = true;
+    r.hooks0.ts = Timestamp::make(2, 0);
+    r.hooks1.spec = false;
+    r.access(r.l1b, CacheOp::Kind::Store, lineB, 9, false);
+    r.run();
+    EXPECT_TRUE(r.hooks0.aborts.empty());
+    EXPECT_EQ(r.l1a.deferredCount(), 0u);
+    EXPECT_EQ(r.l1b.peekWord(lineB), 9u);
+
+    // An abort with an empty footprint visits nothing; the oracle's
+    // full scans never found a survivor, and a clean run adds no
+    // violation counter at all.
+    r.l1a.abortTransaction();
+    EXPECT_EQ(r.l1a.boundaryWork().boundaries, 2u);
+    EXPECT_EQ(r.l1a.boundaryWork().linesVisited, 3u);
+    EXPECT_EQ(r.stats.all().count("trace.violations.boundary-clear"), 0u);
 }

@@ -153,6 +153,27 @@ TEST(Json, ParsesSimDumps)
     EXPECT_FALSE(parseJson("", bad, err));
 }
 
+TEST(Json, BoundsNestingDepth)
+{
+    // 256 levels of mixed objects and arrays parse; one more is refused
+    // with an error instead of recursing until the stack overflows.
+    auto nested = [](int depth) {
+        std::string open, close;
+        for (int i = 0; i < depth; ++i) {
+            open += i % 2 ? "{\"k\": " : "[";
+            close.insert(0, i % 2 ? "}" : "]");
+        }
+        return open + "1" + close;
+    };
+    JsonValue v;
+    std::string err;
+    EXPECT_TRUE(parseJson(nested(256), v, err)) << err;
+    JsonValue deep;
+    EXPECT_FALSE(parseJson(nested(257), deep, err));
+    EXPECT_NE(err.find("nesting deeper than 256 levels"), std::string::npos)
+        << err;
+}
+
 namespace
 {
 

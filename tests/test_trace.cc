@@ -23,6 +23,7 @@
 #include "trace/ring.hh"
 #include "trace/sink.hh"
 #include "workloads/micro.hh"
+#include "workloads/registry.hh"
 #include "workloads/scenarios.hh"
 
 using namespace tlr;
@@ -403,6 +404,64 @@ TEST(InvariantCheckers, AtomicityCleanCommitAndAbortPaths)
     f.sink.emit(70, TraceComp::L1, TraceEvent::MemWrite, 0, 0x200, 7);
     f.sink.emit(80, TraceComp::Spec, TraceEvent::TxnCommitStart, 1, 0);
     EXPECT_EQ(f.reg.violations(), 0u);
+}
+
+TEST(InvariantCheckers, AtomicityStartsFreshReadSetAtOutermostElide)
+{
+    CheckerFixture f;
+    // cpu0's first attempt restarts; a speculative miss it issued in
+    // the restart tick fills afterwards and still emits a TxnRead.
+    f.sink.emit(10, TraceComp::Spec, TraceEvent::TxnElide, 0, 0x80, 0,
+                0, 0, 1);
+    f.sink.emit(
+        20, TraceComp::Spec, TraceEvent::TxnRestart, 0, 0,
+        static_cast<std::uint64_t>(AbortReason::ConflictLost), 0, 0);
+    f.sink.emit(30, TraceComp::L1, TraceEvent::TxnRead, 0, 0x200, 5);
+    // cpu1 then commits a new value into that word...
+    f.sink.emit(40, TraceComp::L1, TraceEvent::MemWrite, 1, 0x200, 9);
+    // ...and only then does cpu0 elide again and commit. The stale
+    // read belongs to the squashed attempt, not to this transaction.
+    f.sink.emit(50, TraceComp::Spec, TraceEvent::TxnElide, 0, 0x80, 0,
+                0, 0, 0);
+    f.sink.emit(60, TraceComp::Spec, TraceEvent::TxnCommitStart, 0, 0);
+    EXPECT_EQ(f.reg.violations(), 0u);
+
+    // A nested elision keeps the enclosing transaction's read set: a
+    // torn read before the TxnNest is still caught at commit.
+    f.sink.emit(70, TraceComp::Spec, TraceEvent::TxnElide, 0, 0x80, 0,
+                0, 0, 1);
+    f.sink.emit(80, TraceComp::L1, TraceEvent::TxnRead, 0, 0x200, 9);
+    f.sink.emit(90, TraceComp::Spec, TraceEvent::TxnNest, 0, 0xc0, 0);
+    f.sink.emit(100, TraceComp::L1, TraceEvent::MemWrite, 1, 0x200, 11);
+    f.sink.emit(110, TraceComp::Spec, TraceEvent::TxnCommitStart, 0, 0);
+    EXPECT_EQ(f.count("atomicity"), 1u);
+}
+
+// Regression: cholesky under TLR on the directory protocol, 8 cpus,
+// seed 1. cpu5 restarts at tick 63925 and issues a speculative GetX in
+// the same tick; its fill emits TxnRead before the next TxnElide, and
+// the checker used to charge that read to the next transaction and
+// report a false atomicity violation at tick 67140.
+TEST(InvariantCheckers, CholeskyDirectorySeedOneRunsClean)
+{
+    WorkloadParams wp;
+    wp.numCpus = 8;
+    wp.ops = 256;
+    wp.seed = 1;
+    wp.lockKind = schemeLockKind(Scheme::BaseSleTlr);
+
+    MachineParams mp;
+    mp.numCpus = wp.numCpus;
+    mp.protocol = Protocol::Directory;
+    mp.spec = schemeSpecConfig(Scheme::BaseSleTlr);
+    mp.seed = 1;
+    mp.trace.checkInvariants = true;
+    mp.trace.keepGoingOnViolation = true;
+
+    RunStats r = runWorkload(mp, makeRegisteredWorkload("cholesky", wp));
+    EXPECT_TRUE(r.completed);
+    EXPECT_TRUE(r.valid);
+    EXPECT_EQ(r.invariantViolations, 0u);
 }
 
 TEST(InvariantCheckers, PanicsAtViolatingTickWithoutKeepGoing)

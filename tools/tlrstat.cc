@@ -7,8 +7,10 @@
  * threshold. Exit status makes it usable as a CI perf gate:
  *
  *   0  compared cleanly, no threshold violations
- *   1  usage / IO / parse error
- *   2  schema_version or timeline epoch_len mismatch (refuses to diff)
+ *   1  usage / IO error
+ *   2  malformed input (JSON parse error, nesting deeper than the
+ *      parser's depth limit), schema_version or timeline epoch_len
+ *      mismatch (refuses to diff)
  *   3  at least one delta exceeded the threshold
  *
  * Usage: tlrstat [options] OLD.json NEW.json
@@ -59,21 +61,23 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
-bool
+/** @return 0 on success, else the exit status: 1 when @p path cannot
+ *  be read, 2 when its contents are not a JSON document. */
+int
 parseDoc(const std::string &path, tlr::JsonValue &out)
 {
     std::string text;
     if (!readFile(path, text)) {
         std::fprintf(stderr, "tlrstat: cannot read %s\n", path.c_str());
-        return false;
+        return 1;
     }
     std::string err;
     if (!tlr::parseJson(text, out, err)) {
         std::fprintf(stderr, "tlrstat: %s: %s\n", path.c_str(),
                      err.c_str());
-        return false;
+        return 2;
     }
-    return true;
+    return 0;
 }
 
 } // namespace
@@ -135,8 +139,10 @@ main(int argc, char **argv)
     }
 
     tlr::JsonValue oldDoc, newDoc;
-    if (!parseDoc(oldPath, oldDoc) || !parseDoc(newPath, newDoc))
-        return 1;
+    if (int rc = parseDoc(oldPath, oldDoc))
+        return rc;
+    if (int rc = parseDoc(newPath, newDoc))
+        return rc;
 
     opt.oldName = oldPath;
     opt.newName = newPath;
