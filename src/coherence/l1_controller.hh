@@ -56,7 +56,6 @@ struct L1Params
     Tick yieldTimeout = 1000;
 };
 
-class FabricPort;
 struct CheckerContext;
 
 class L1Controller : public Snooper
@@ -72,12 +71,6 @@ class L1Controller : public Snooper
      *  valid line that kept an access or pin bit as a violation
      *  through @p ctx. */
     void setInvariantContext(CheckerContext *ctx) { invariants_ = ctx; }
-
-    /** Route fabric traffic (submits, data/marker/probe sends,
-     *  writebacks) through a parallel-kernel FabricPort instead of
-     *  the interconnect/memory directly. Null (the default) keeps the
-     *  classic direct path. */
-    void setPort(FabricPort *port) { port_ = port; }
 
     /** @{ Engine-facing request interface. */
     void access(const CacheOp &op);
@@ -115,7 +108,6 @@ class L1Controller : public Snooper
     /** @{ Snooper interface (called by the interconnect). */
     CpuId id() const override { return id_; }
     bool upgradeValid(Addr line) const override;
-    bool holdsLineState(Addr line) const override;
     SnoopReply snoop(const BusRequest &req) override;
     void ownRequestOrdered(const BusRequest &req, bool any_owner,
                            bool any_sharer) override;
@@ -218,14 +210,6 @@ class L1Controller : public Snooper
     bool winsConflict(const Timestamp &incoming) const;
     /** @} */
 
-    /** @{ Fabric access: via port_ when set, direct otherwise. */
-    void netSubmit(const BusRequest &req);
-    void netSendData(CpuId to, const DataMsg &msg);
-    void netSendMarker(CpuId to, const MarkerMsg &msg);
-    void netSendProbe(CpuId to, const ProbeMsg &msg);
-    void memWriteBack(Addr line_addr, const LineData &data);
-    /** @} */
-
     EventQueue &eq_;
     StatSet &stats_;
     const CpuId id_;
@@ -234,7 +218,6 @@ class L1Controller : public Snooper
     MemoryController &mem_;
     SpecHooks &hooks_;
     TraceSink *trace_ = nullptr;
-    FabricPort *port_ = nullptr;
 
     CacheArray array_;
     VictimCache victim_;

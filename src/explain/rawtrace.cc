@@ -80,6 +80,27 @@ RawTraceReader::open(const std::string &path)
                std::to_string(header_.recordSize) + ", expected " +
                std::to_string(sizeof(TraceRecord));
     }
+    // The header's count must account for every byte: a short file
+    // would silently replay a prefix, and extra bytes mean the count
+    // was never back-patched or the file was appended to.
+    if (std::fseek(file_, 0, SEEK_END) != 0) {
+        close();
+        return "cannot seek in '" + path + "'";
+    }
+    const long size = std::ftell(file_);
+    const long body = size - static_cast<long>(sizeof(header_));
+    const auto rec = static_cast<long>(sizeof(TraceRecord));
+    if (body < 0 || body % rec != 0 ||
+        static_cast<std::uint64_t>(body / rec) != header_.recordCount) {
+        close();
+        return "'" + path + "' is " + std::to_string(size) +
+               " bytes but its header says " +
+               std::to_string(header_.recordCount) + " records (" +
+               std::to_string(sizeof(header_)) + " + count x " +
+               std::to_string(sizeof(TraceRecord)) +
+               " bytes): truncated or trailing data";
+    }
+    path_ = path;
     return "";
 }
 
@@ -92,19 +113,26 @@ RawTraceReader::close()
     }
 }
 
-void
+std::string
 RawTraceReader::forEach(const std::function<void(const TraceRecord &)> &fn)
 {
     if (!file_)
-        return;
+        return "no trace file open";
     std::fseek(file_, sizeof(RawTraceHeader), SEEK_SET);
     TraceRecord r;
-    std::uint64_t n = 0;
-    while (n < header_.recordCount &&
-           std::fread(&r, sizeof(r), 1, file_) == 1) {
+    for (std::uint64_t n = 0; n < header_.recordCount; ++n) {
+        if (std::fread(&r, sizeof(r), 1, file_) != 1)
+            return "'" + path_ + "' ends after " + std::to_string(n) +
+                   " of " + std::to_string(header_.recordCount) +
+                   " records";
+        if (r.tick > header_.finalTick)
+            return "'" + path_ + "' record " + std::to_string(n) +
+                   " has tick " + std::to_string(r.tick) +
+                   " past the header's final_tick " +
+                   std::to_string(header_.finalTick);
         fn(r);
-        ++n;
     }
+    return "";
 }
 
 } // namespace tlr

@@ -4,9 +4,12 @@
  *
  * Layout: a 32-byte versioned header followed by recordCount
  * TraceRecords written verbatim (64 bytes each, host endianness).
- * recordCount and finalTick are back-patched when the run finishes, so
- * a truncated file (crash mid-run) is detectable: its header count
- * stays 0 while the file holds records.
+ * recordCount and finalTick are back-patched when the run finishes.
+ * The reader trusts neither blindly: open() requires the file size to
+ * be exactly the header plus recordCount records (so a truncated file,
+ * trailing garbage, or a crash mid-run that left the count at 0 is
+ * refused), and forEach() refuses any record whose tick lies past
+ * finalTick (so the header bounds what a replay can allocate).
  *
  *   offset  size  field
  *        0     8  magic "TLRTRACE"
@@ -80,26 +83,34 @@ class RawTraceReader
     ~RawTraceReader() { close(); }
 
     /** @return empty string on success, else an error description
-     *         (missing file, bad magic, version/record-size skew). */
+     *         (missing file, bad magic, version/record-size skew, a
+     *         size that disagrees with the header's record count). */
     std::string open(const std::string &path);
     void close();
 
     const RawTraceHeader &header() const { return header_; }
 
-    /** Stream every record through @p fn in file order. */
-    void forEach(const std::function<void(const TraceRecord &)> &fn);
+    /** Stream every record through @p fn in file order, stopping at
+     *  the first record stamped past the header's finalTick.
+     *  @return empty string on success, else an error description. */
+    std::string forEach(const std::function<void(const TraceRecord &)> &fn);
 
     /** Feed the whole file to a listener, then its finish() with the
-     *  recorded finalTick — the offline mirror of a live run. */
-    void
+     *  recorded finalTick — the offline mirror of a live run.
+     *  @return forEach()'s error; finish() runs only on success. */
+    std::string
     replay(TraceListener &l)
     {
-        forEach([&](const TraceRecord &r) { l.onRecord(r); });
-        l.finish(header_.finalTick);
+        std::string err =
+            forEach([&](const TraceRecord &r) { l.onRecord(r); });
+        if (err.empty())
+            l.finish(header_.finalTick);
+        return err;
     }
 
   private:
     std::FILE *file_ = nullptr;
+    std::string path_;
     RawTraceHeader header_;
 };
 

@@ -7,7 +7,8 @@
  * self-contained (a System owns its event queue, stats, memory and
  * RNG state, and shares nothing mutable), so independent
  * configurations can run on a host thread pool without perturbing a
- * single simulated cycle.
+ * single simulated cycle. This is the simulator's only host
+ * parallelism: every System runs on one event queue.
  *
  * Determinism contract (DESIGN.md §8): for the same task list,
  * runSweep() returns byte-for-byte the same results for any `jobs`
@@ -45,13 +46,6 @@ struct SweepResult
 /** Host threads to use when the caller does not say: the hardware
  *  concurrency, floored at 1. */
 unsigned defaultJobs();
-
-/** Resolve a --jobs request against a shared core budget when each
- *  simulation itself runs @p threads_per_sim intra-sim workers
- *  (--threads). An explicit request wins unchanged; jobs==0 ("auto")
- *  divides defaultJobs() by the per-sim thread count so
- *  jobs * threads stays within the host, floored at 1. */
-unsigned resolveJobs(unsigned requested, unsigned threads_per_sim);
 
 /**
  * Run every task, @p jobs at a time (jobs == 0 → defaultJobs()),

@@ -16,15 +16,6 @@ VictimCache::find(Addr line_addr)
     return nullptr;
 }
 
-const CacheLine *
-VictimCache::find(Addr line_addr) const
-{
-    for (const auto &l : entries_)
-        if (isValidState(l.state) && l.addr == line_addr)
-            return &l;
-    return nullptr;
-}
-
 bool
 VictimCache::insert(const CacheLine &line)
 {

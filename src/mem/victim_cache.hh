@@ -29,9 +29,6 @@ class VictimCache
     explicit VictimCache(unsigned entries) : capacity_(entries) {}
 
     CacheLine *find(Addr line_addr);
-    /** Pure lookup (no LRU or promotion side effects); safe from
-     *  const contexts like the interconnect's snoop filter. */
-    const CacheLine *find(Addr line_addr) const;
 
     /** Insert (copy) @p line. @return false when full (resource
      *  violation => the caller must fall back to lock acquisition). */

@@ -55,7 +55,7 @@ schemaOf(const JsonValue &doc)
 } // namespace
 
 // Matched on the final path component so per-config variants
-// (threads_4_speedup) are covered too.
+// (kernel_small_events_per_sec) are covered too.
 bool
 isHostPerfKey(const std::string &key)
 {

@@ -30,11 +30,10 @@
  * localization.
  *
  * The manifest separates `sim` fields (deterministic inputs/outputs of
- * the simulation) from `host` fields (--threads, --jobs, lookahead —
- * schedule knobs that must not affect results) and `build` metadata.
- * tools/tlrreport renders only the sim/result/schemas sections, which
- * is what makes the flight report byte-identical across hosts and
- * thread counts by construction.
+ * the simulation) from `host` fields (--jobs, a schedule knob that
+ * must not affect results) and `build` metadata. tools/tlrreport
+ * renders only the sim/result/schemas sections, which is what makes
+ * the flight report byte-identical across hosts by construction.
  */
 
 #ifndef TLR_REPORT_BUNDLE_HH
@@ -81,13 +80,9 @@ struct BundleMeta
     std::uint64_t invariantViolations = 0;
     /** @} */
 
-    /** @{ host: schedule knobs that never change simulated results
+    /** host: a schedule knob that never changes simulated results
      *  (NOT rendered by tlrreport — byte-determinism contract). */
-    unsigned threads = 0;
     unsigned jobs = 0;
-    Tick lookahead = 0;
-    int dirBanks = 1;
-    /** @} */
 };
 
 /** The artifact payloads of one bundle entry. Empty string = absent

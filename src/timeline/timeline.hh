@@ -30,14 +30,9 @@
  *   throughput-collapse commit rate drops below 1/collapseFactor of
  *                       the trailing mean while conflicts continue
  *
- * Thread-count invariance: the timeline is a pure TraceListener on the
- * real sink. The parallel kernel delivers partition capture buffers
- * stitched into (tick, partition, index) order at window barriers and
- * replays them through the real sink (DESIGN.md §13), so the record
- * stream — hence every epoch row and alert — is bit-identical for any
- * --threads >= 1. Offline reconstruction holds for the same reason:
- * replaying a --trace-raw file through a fresh EpochTimeline feeds it
- * the exact online stream, so csv() matches byte-for-byte.
+ * Offline reconstruction: the timeline is a pure TraceListener on the
+ * sink, so replaying a --trace-raw file through a fresh EpochTimeline
+ * feeds it the exact online stream, and csv() matches byte-for-byte.
  *
  * Zero-overhead-off: the timeline only exists when
  * MachineParams::timelineEpoch > 0; otherwise nothing is attached, the
@@ -135,9 +130,8 @@ class EpochTimeline : public TraceListener
     }
 
     /** The canonical timeline artifact: a '#'-headed CSV of every
-     *  epoch row followed by the alert stream. Byte-identical across
-     *  --threads counts and online/offline reconstruction (the
-     *  acceptance artifact for both). */
+     *  epoch row followed by the alert stream. Byte-identical between
+     *  online and offline reconstruction (the acceptance artifact). */
     std::string csv() const;
 
     /** The versioned "timeline" JSON section value spliced into

@@ -222,6 +222,73 @@ TEST(RawTrace, ReaderRejectsGarbage)
     std::remove(path.c_str());
 }
 
+namespace
+{
+
+/** Write a three-record trace (ticks 10/20/30) finishing at @p final,
+ *  then append @p extra raw bytes after the writer closed. */
+void
+writeSmallTrace(const std::string &path, Tick final,
+                const std::string &extra = "")
+{
+    {
+        RawTraceWriter w;
+        ASSERT_EQ(w.open(path), "");
+        w.onRecord(defer(10, 1, 0, 0x40));
+        w.onRecord(defer(20, 2, 0, 0x40));
+        w.onRecord(commit(30, 1));
+        w.finish(final);
+    }
+    std::FILE *fp = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(fp, nullptr);
+    std::fwrite(extra.data(), 1, extra.size(), fp);
+    std::fclose(fp);
+}
+
+} // namespace
+
+TEST(RawTrace, ReaderRejectsSizeThatDisagreesWithHeader)
+{
+    const std::string path = "test_rawtrace_size.bin";
+    RawTraceReader rd;
+    writeSmallTrace(path, 100, "x"); // trailing garbage
+    EXPECT_NE(rd.open(path).find("truncated or trailing data"),
+              std::string::npos);
+
+    writeSmallTrace(path, 100);
+    std::FILE *fp = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(fp, nullptr);
+    std::string bytes(sizeof(RawTraceHeader) + 2 * sizeof(TraceRecord) + 7,
+                      '\0');
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), fp), bytes.size());
+    std::fclose(fp);
+    fp = std::fopen(path.c_str(), "wb"); // cut mid-record
+    ASSERT_NE(fp, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), fp);
+    std::fclose(fp);
+    EXPECT_NE(rd.open(path).find("truncated or trailing data"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(RawTrace, ReaderStopsAtRecordPastFinalTick)
+{
+    const std::string path = "test_rawtrace_future.bin";
+    writeSmallTrace(path, 25); // the tick-30 commit lies past the end
+    RawTraceReader rd;
+    ASSERT_EQ(rd.open(path), "");
+    std::size_t seen = 0;
+    std::string err = rd.forEach([&](const TraceRecord &) { ++seen; });
+    EXPECT_NE(err.find("record 2 has tick 30 past the header's "
+                       "final_tick 25"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(seen, 2u);
+    TxnLifecycle lc;
+    EXPECT_NE(rd.replay(lc), "");
+    std::remove(path.c_str());
+}
+
 TEST(RawTrace, ReplayDrivesListenerFinishWithFinalTick)
 {
     // Satellite case: an instance still in flight when the run ends

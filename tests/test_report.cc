@@ -63,7 +63,7 @@ sampleMeta()
     m.completed = true;
     m.valid = true;
     m.cycles = 12345;
-    m.threads = 4;
+    m.jobs = 4;
     return m;
 }
 
@@ -125,8 +125,8 @@ TEST(Bundle, ManifestRoundTrip)
     EXPECT_EQ(resolvePath(doc, "result.cycles")->number, 12345);
     EXPECT_TRUE(resolvePath(doc, "result.completed")->boolean);
     // Host-schedule knobs live in their own section, never in sim.
-    EXPECT_EQ(resolvePath(doc, "host.threads")->number, 4);
-    EXPECT_EQ(resolvePath(doc, "sim.threads"), nullptr);
+    EXPECT_EQ(resolvePath(doc, "host.jobs")->number, 4);
+    EXPECT_EQ(resolvePath(doc, "sim.jobs"), nullptr);
     // Every schema version the bundle depends on is recorded.
     EXPECT_EQ(resolvePath(doc, "schemas.stats_json")->number,
               statsSchemaVersion);

@@ -16,7 +16,9 @@
  * shorthands --cpu/--kind/--class/--lock/--tick merge into the same
  * filter. Output is deterministic: the same file and flags always
  * produce byte-identical output (CI relies on this). Exit status is 0
- * on success, 1 on any usage or file error.
+ * on success, 1 on a usage or output-file error, 2 when the trace is
+ * unreadable or rejected (bad header, a size that disagrees with the
+ * header's record count, a record past the header's final tick).
  */
 
 #include <cstdio>
@@ -229,10 +231,12 @@ main(int argc, char **argv)
 
     RawTraceReader reader;
     std::string err = reader.open(o.file);
-    if (!err.empty()) {
+    auto rejected = [&] {
         std::fprintf(stderr, "%s\n", err.c_str());
-        return 1;
-    }
+        return 2;
+    };
+    if (!err.empty())
+        return rejected();
 
     std::ofstream outFile;
     std::ostream *os = nullptr;
@@ -250,7 +254,7 @@ main(int argc, char **argv)
     } else if (o.count) {
         std::map<std::string, std::uint64_t> counts;
         std::uint64_t total = 0;
-        reader.forEach([&](const TraceRecord &r) {
+        err = reader.forEach([&](const TraceRecord &r) {
             if (!filter.empty() && !filter.matches(r))
                 return;
             ++counts[countKeyOf(r, o.countKey)];
@@ -267,15 +271,17 @@ main(int argc, char **argv)
         // full record stream plus finish(finalTick), so the CSV is
         // byte-identical to the online --timeline-out file.
         EpochTimeline timeline(o.timelineEpoch);
-        reader.replay(timeline);
+        err = reader.replay(timeline);
         emit(timeline.csv());
     } else if (o.explainOn) {
         Explainer explainer;
-        reader.forEach([&](const TraceRecord &r) {
+        err = reader.forEach([&](const TraceRecord &r) {
             if (!filter.empty() && !filter.matches(r))
                 return;
             explainer.onRecord(r);
         });
+        if (!err.empty())
+            return rejected();
         explainer.finish(h.finalTick);
         emit(explainer.report(parseExplainMode(o.explainMode)));
         if (!o.explainDot.empty()) {
@@ -298,7 +304,7 @@ main(int argc, char **argv)
         }
     } else {
         std::uint64_t printed = 0;
-        reader.forEach([&](const TraceRecord &r) {
+        err = reader.forEach([&](const TraceRecord &r) {
             if (!filter.empty() && !filter.matches(r))
                 return;
             if (o.limit && printed >= o.limit)
@@ -307,6 +313,9 @@ main(int argc, char **argv)
             ++printed;
         });
     }
+
+    if (!err.empty())
+        return rejected();
 
     if (!o.out.empty()) {
         outFile.open(o.out, std::ios::binary);
