@@ -2,49 +2,36 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "sim/logging.hh"
 
 namespace tlr
 {
 
-namespace
-{
-
-constexpr unsigned maxChainHops = 8;
-
-std::string
-fmtU(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
-} // namespace
-
 std::vector<ChainLink>
 Explainer::chainFor(const TxnInstance &t) const
 {
+    // Each hop is the instance's longest closed deferral, resolved to
+    // the owner instance live when it started.
     std::vector<ChainLink> out;
-    std::set<std::pair<std::int16_t, std::uint64_t>> visited;
-    const TxnInstance *cur = &t;
-    while (cur && out.size() < maxChainHops) {
-        if (!visited.insert({cur->cpu, cur->serial}).second)
-            break; // wait cycle: stop rather than loop forever
-        if (cur->longestDeferSpan == 0 || cur->longestDeferOwner < 0)
-            break;
-        const TxnInstance *owner = path_.instanceAt(
-            cur->longestDeferOwner, cur->longestDeferTick);
-        ChainLink link;
-        link.waiter = cur->name();
-        link.owner = owner ? owner->name()
-                           : "cpu" + std::to_string(cur->longestDeferOwner);
-        link.ownerCpu = cur->longestDeferOwner;
-        link.line = cur->longestDeferLine;
-        link.waitTicks = cur->longestDeferSpan;
-        out.push_back(link);
-        cur = owner;
-    }
+    walkChain(&t, [](const TxnInstance *i) { return i->serial; },
+              [&](const TxnInstance *cur) -> const TxnInstance * {
+                  if (cur->longestDeferSpan == 0 ||
+                      cur->longestDeferOwner < 0)
+                      return nullptr;
+                  const TxnInstance *owner = path_.instanceAt(
+                      cur->longestDeferOwner, cur->longestDeferTick);
+                  ChainLink link;
+                  link.waiter = cur->name();
+                  link.owner =
+                      owner ? owner->name()
+                            : "cpu" + std::to_string(cur->longestDeferOwner);
+                  link.ownerCpu = cur->longestDeferOwner;
+                  link.line = cur->longestDeferLine;
+                  link.waitTicks = cur->longestDeferSpan;
+                  out.push_back(link);
+                  return owner;
+              });
     return out;
 }
 
@@ -291,7 +278,7 @@ Explainer::json() const
     s += "  \"cycles\": [\n";
     const auto &cy = graph_.cycles();
     for (size_t i = 0; i < cy.size(); ++i) {
-        s += "    {\"tick\": " + fmtU(cy[i].tick) + ", \"cpus\": [";
+        s += "    {\"tick\": " + std::to_string(cy[i].tick) + ", \"cpus\": [";
         for (size_t j = 0; j < cy[i].cpus.size(); ++j)
             s += (j ? ", " : "") + std::to_string(cy[i].cpus[j]);
         s += "]}";

@@ -58,8 +58,12 @@ struct ChainLink
 class Explainer : public TraceListener
 {
   public:
-    explicit Explainer(unsigned topK = 10) : topK_(topK) {}
+    explicit Explainer(unsigned topK = 10)
+        : graph_(waits_), path_(waits_), topK_(topK) {}
+    Explainer(const Explainer &) = delete;
+    Explainer &operator=(const Explainer &) = delete;
 
+    /** The graph updates the shared WaitState; the path reads it. */
     void
     onRecord(const TraceRecord &r) override
     {
@@ -91,6 +95,7 @@ class Explainer : public TraceListener
   private:
     std::vector<const TxnInstance *> ranked() const;
 
+    WaitState waits_;
     ConflictGraphBuilder graph_;
     CriticalPathAccountant path_;
     unsigned topK_;

@@ -1,89 +1,30 @@
 #include "explain/graph.hh"
 
 #include <algorithm>
-#include <functional>
 
 namespace tlr
 {
 
 void
-ConflictGraphBuilder::addDefer(const TraceRecord &r, bool relaxed)
+ConflictGraphBuilder::addDefer(const TraceRecord &r)
 {
-    auto waiter = static_cast<std::int16_t>(r.a0);
-    std::pair<Addr, std::int16_t> key{r.addr, waiter};
-    auto it = pending_.find(key);
-    if (it != pending_.end()) {
-        // The same waiter re-deferred on the same line without an
-        // intervening service record: close the stale edge here so
-        // spans never overlap.
-        edges_[it->second].end = r.tick;
-        pending_.erase(it);
-    }
-    DeferEdge e;
-    e.waiter = waiter;
-    e.owner = r.cpu;
-    e.line = r.addr;
-    e.start = r.tick;
-    e.end = r.tick;
-    e.relaxed = relaxed;
-    e.waiterTs = unpackTs(r.a2, r.a3);
-    pending_[key] = edges_.size();
-    edges_.push_back(e);
-
     LineContention &lc = lines_[r.addr];
     ++lc.defers;
-    if (relaxed)
+    if (r.kind == TraceEvent::CohRelaxedDefer)
         ++lc.relaxedDefers;
-    unsigned queue = 0;
-    for (const auto &[k, unused] : pending_) {
-        (void)unused;
-        if (k.first == r.addr)
-            ++queue;
-    }
-    lc.maxQueue = std::max(lc.maxQueue, queue);
+    const Wait *w = waits_.defer(r);
+    if (!w)
+        return; // re-defer of an open wait: it keeps its first edge
 
-    detectCycleFrom(waiter, r.cpu, r.tick);
-}
+    DeferEdge e;
+    static_cast<Wait &>(e) = *w;
+    e.end = w->start;
+    edges_.push_back(e);
 
-void
-ConflictGraphBuilder::detectCycleFrom(std::int16_t waiter,
-                                      std::int16_t owner, Tick tick)
-{
-    // The new edge waiter → owner closes a cycle iff owner already
-    // waits (transitively) on waiter through pending edges. Walk the
-    // live wait-for graph; cpu counts are tiny, so a simple DFS over
-    // the pending map suffices.
-    std::vector<std::int16_t> path{waiter, owner};
-    std::vector<std::int16_t> stack{owner};
-    std::vector<bool> seen(1024, false);
-    auto mark = [&](std::int16_t c) {
-        size_t i = static_cast<size_t>(c) & 1023;
-        bool was = seen[i];
-        seen[i] = true;
-        return was;
-    };
-    mark(waiter);
-    mark(owner);
-    // DFS keeping one concrete path (first-found, deterministic via
-    // the ordered pending_ map).
-    std::function<bool(std::int16_t)> walk = [&](std::int16_t from) {
-        for (const auto &[key, idx] : pending_) {
-            const DeferEdge &e = edges_[idx];
-            if (e.waiter != from)
-                continue;
-            if (e.owner == waiter)
-                return true;
-            if (mark(e.owner))
-                continue;
-            path.push_back(e.owner);
-            if (walk(e.owner))
-                return true;
-            path.pop_back();
-        }
-        return false;
-    };
-    if (walk(owner))
-        cycles_.push_back({path, tick});
+    lc.maxQueue = std::max(lc.maxQueue, waits_.queues().at(r.addr));
+    std::vector<std::int16_t> cycle = waits_.cycleThrough(*w);
+    if (!cycle.empty())
+        cycles_.push_back({std::move(cycle), r.tick});
 }
 
 void
@@ -91,22 +32,18 @@ ConflictGraphBuilder::onRecord(const TraceRecord &r)
 {
     switch (r.kind) {
       case TraceEvent::CohDefer:
-        addDefer(r, false);
-        return;
       case TraceEvent::CohRelaxedDefer:
-        addDefer(r, true);
+        addDefer(r);
         return;
       case TraceEvent::CohService: {
-        auto waiter = static_cast<std::int16_t>(r.a0);
-        auto it = pending_.find({r.addr, waiter});
-        if (it == pending_.end())
+        const Wait *w = waits_.service(r);
+        if (!w)
             return; // chain service with no prior defer record
-        DeferEdge &e = edges_[it->second];
+        DeferEdge &e = edges_[w->ordinal];
         e.end = r.tick;
         e.serviced = true;
         e.cause = static_cast<ServiceCause>(r.a1);
         lines_[r.addr].waitTicks += e.span();
-        pending_.erase(it);
         return;
       }
       case TraceEvent::TxnRestart: {
@@ -130,13 +67,13 @@ ConflictGraphBuilder::onRecord(const TraceRecord &r)
 void
 ConflictGraphBuilder::finish(Tick now)
 {
-    for (const auto &[key, idx] : pending_) {
-        (void)key;
-        DeferEdge &e = edges_[idx];
+    // Leaves the waits open: the path accountant, finishing next,
+    // charges them to their instances.
+    for (const auto &[key, w] : waits_.open()) {
+        DeferEdge &e = edges_[w.ordinal];
         e.end = now;
-        lines_[e.line].waitTicks += e.span();
+        lines_[key.first].waitTicks += e.span();
     }
-    pending_.clear();
 }
 
 std::vector<Addr>

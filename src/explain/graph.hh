@@ -11,7 +11,8 @@
  * pathologies the relaxed-timestamp path (Section 3.2) is supposed to
  * avoid: wait cycles (A defers behind B while B defers behind A,
  * possibly through intermediaries) and convoys (many simultaneous
- * waiters parked on one line).
+ * waiters parked on one line). The live edge set is the Explainer's
+ * WaitState, which this builder updates.
  */
 
 #ifndef TLR_EXPLAIN_GRAPH_HH
@@ -22,22 +23,17 @@
 #include <vector>
 
 #include "trace/sink.hh"
+#include "trace/wait_state.hh"
 
 namespace tlr
 {
 
-/** One deferral: @c waiter parked behind @c owner on @c line. */
-struct DeferEdge
+/** One deferral: the wait, plus how it ended. */
+struct DeferEdge : Wait
 {
-    std::int16_t waiter = -1;
-    std::int16_t owner = -1;
-    Addr line = 0;
-    Tick start = 0;    ///< tick the request was deferred
     Tick end = 0;      ///< service tick, or stream end if never
     bool serviced = false;
-    bool relaxed = false; ///< via the Section 3.2 relaxation
     ServiceCause cause = ServiceCause::Chain;
-    Timestamp waiterTs;
 
     Tick span() const { return end > start ? end - start : 0; }
 };
@@ -69,11 +65,15 @@ struct LineContention
     unsigned maxQueue = 0;    ///< max simultaneous waiters (convoy)
 };
 
-class ConflictGraphBuilder : public TraceListener
+/** Driven by the Explainer, before the CriticalPathAccountant that
+ *  shares its WaitState. */
+class ConflictGraphBuilder
 {
   public:
-    void onRecord(const TraceRecord &r) override;
-    void finish(Tick now) override;
+    explicit ConflictGraphBuilder(WaitState &waits) : waits_(waits) {}
+
+    void onRecord(const TraceRecord &r);
+    void finish(Tick now);
 
     const std::vector<DeferEdge> &edges() const { return edges_; }
     const std::vector<RestartEdge> &restartEdges() const
@@ -87,16 +87,13 @@ class ConflictGraphBuilder : public TraceListener
     std::vector<Addr> convoyLines(unsigned minQueue = 2) const;
 
   private:
-    void addDefer(const TraceRecord &r, bool relaxed);
-    void detectCycleFrom(std::int16_t waiter, std::int16_t owner,
-                         Tick tick);
+    void addDefer(const TraceRecord &r);
 
-    std::vector<DeferEdge> edges_;
+    WaitState &waits_;
+    std::vector<DeferEdge> edges_; ///< index == Wait::ordinal
     std::vector<RestartEdge> restarts_;
     std::vector<CycleHit> cycles_;
     std::map<Addr, LineContention> lines_;
-    /** (line, waiter) → index of the open edge in edges_. */
-    std::map<std::pair<Addr, std::int16_t>, size_t> pending_;
 };
 
 } // namespace tlr

@@ -7,23 +7,6 @@
 namespace tlr
 {
 
-namespace
-{
-
-/** True when [a,b) lies inside any interval of @p iv. The segment is
- *  guaranteed homogeneous: every interval endpoint is a boundary. */
-bool
-covered(const std::vector<std::pair<Tick, Tick>> &iv, Tick a, Tick b)
-{
-    for (const auto &[s, e] : iv) {
-        if (s <= a && b <= e)
-            return true;
-    }
-    return false;
-}
-
-} // namespace
-
 void
 CriticalPathAccountant::classify(OpenInstance &o)
 {
@@ -32,40 +15,33 @@ CriticalPathAccountant::classify(OpenInstance &o)
     if (end <= begin)
         return;
 
-    std::vector<std::pair<Tick, Tick>> defer, miss;
-    auto clip = [&](const std::vector<Interval> &src,
-                    std::vector<std::pair<Tick, Tick>> &dst) {
-        for (const Interval &i : src) {
-            Tick s = std::max(i.start, begin);
-            Tick e = std::min(i.end, end);
-            if (s < e)
-                dst.emplace_back(s, e);
+    // Every interval endpoint is a bound, so each segment between two
+    // bounds lies wholly inside or outside each interval.
+    std::vector<Tick> bounds{begin, end};
+    auto cut = [&](const std::vector<Interval> &iv) {
+        for (const Interval &i : iv) {
+            bounds.push_back(std::clamp(i.start, begin, end));
+            bounds.push_back(std::clamp(i.end, begin, end));
         }
     };
-    clip(o.defer, defer);
-    clip(o.miss, miss);
-
-    std::vector<Tick> bounds{begin, end};
-    for (const auto &[s, e] : defer) {
-        bounds.push_back(s);
-        bounds.push_back(e);
-    }
-    for (const auto &[s, e] : miss) {
-        bounds.push_back(s);
-        bounds.push_back(e);
-    }
-    const Tick lastRestart =
-        std::min(std::max(o.lastRestartTick, begin), end);
+    cut(o.defer);
+    cut(o.miss);
+    const Tick lastRestart = std::clamp(o.lastRestartTick, begin, end);
     if (t.restarts > 0)
         bounds.push_back(lastRestart);
     std::sort(bounds.begin(), bounds.end());
     bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
 
+    auto covered = [](const std::vector<Interval> &iv, Tick a, Tick b) {
+        return std::any_of(iv.begin(), iv.end(), [&](const Interval &i) {
+            return i.start <= a && b <= i.end;
+        });
+    };
     for (size_t i = 0; i + 1 < bounds.size(); ++i) {
         const Tick a = bounds[i], b = bounds[i + 1];
-        if (covered(defer, a, b))
+        if (covered(o.defer, a, b))
             t.deferTicks += b - a;
-        else if (covered(miss, a, b))
+        else if (covered(o.miss, a, b))
             t.missTicks += b - a;
         else if (t.restarts > 0 && b <= lastRestart)
             t.redoTicks += b - a;
@@ -74,15 +50,15 @@ CriticalPathAccountant::classify(OpenInstance &o)
     }
 
     // Longest single deferral → the causal-chain hop for this txn.
-    for (const auto &[iv, who] : o.deferDetail) {
-        Tick s = std::max(iv.start, begin);
-        Tick e = std::min(iv.end, end);
+    for (const Interval &d : o.defer) {
+        Tick s = std::max(d.start, begin);
+        Tick e = std::min(d.end, end);
         if (s >= e)
             continue;
         if (e - s > t.longestDeferSpan) {
             t.longestDeferSpan = e - s;
-            t.longestDeferOwner = who.first;
-            t.longestDeferLine = who.second;
+            t.longestDeferOwner = d.owner;
+            t.longestDeferLine = d.line;
             t.longestDeferTick = s;
         }
     }
@@ -97,25 +73,20 @@ CriticalPathAccountant::closeInstance(std::int16_t cpu, Tick end,
         return;
     OpenInstance &o = it->second;
 
-    // Attribute still-open wait intervals up to the close tick.
-    for (auto dit = deferOpen_.begin(); dit != deferOpen_.end();) {
-        if (dit->first.first == cpu) {
-            o.defer.push_back({dit->second.first, end});
-            o.deferDetail.push_back(
-                {{dit->second.first, end},
-                 {dit->second.second, dit->first.second}});
-            dit = deferOpen_.erase(dit);
-        } else {
-            ++dit;
-        }
+    // Attribute still-open wait intervals up to the close tick, once:
+    // their later service is not charged again. Ordinals follow record
+    // order, so a same-tick defer after this close is not clipped.
+    std::uint64_t &charged = chargedBelow_[cpu];
+    for (const auto &[key, w] : waits_.open()) {
+        if (w.waiter != cpu || w.ordinal < charged)
+            continue;
+        o.defer.push_back({w.start, end, w.owner, key.first});
     }
-    for (auto mit = missOpen_.begin(); mit != missOpen_.end();) {
-        if (mit->first.first == cpu) {
-            o.miss.push_back({mit->second, end});
-            mit = missOpen_.erase(mit);
-        } else {
-            ++mit;
-        }
+    charged = waits_.opened();
+    auto mit = missOpen_.lower_bound({cpu, 0});
+    while (mit != missOpen_.end() && mit->first.first == cpu) {
+        o.miss.push_back({mit->second, end});
+        mit = missOpen_.erase(mit);
     }
 
     o.inst.end = end;
@@ -165,25 +136,16 @@ CriticalPathAccountant::onRecord(const TraceRecord &r)
       case TraceEvent::TxnQuantumEnd:
         closeInstance(r.cpu, r.tick, "quantum-end");
         return;
-      case TraceEvent::CohDefer:
-      case TraceEvent::CohRelaxedDefer: {
-        auto waiter = static_cast<std::int16_t>(r.a0);
-        deferOpen_[{waiter, r.addr}] = {r.tick, r.cpu};
-        return;
-      }
       case TraceEvent::CohService: {
-        auto waiter = static_cast<std::int16_t>(r.a0);
-        auto dit = deferOpen_.find({waiter, r.addr});
-        if (dit == deferOpen_.end())
+        // The graph builder closed the wait on this same record.
+        const Wait *w = waits_.lastClosed();
+        if (!w || w->ordinal < chargedBelow_[w->waiter])
             return;
-        auto oit = open_.find(waiter);
+        auto oit = open_.find(w->waiter);
         if (oit != open_.end()) {
-            oit->second.defer.push_back({dit->second.first, r.tick});
-            oit->second.deferDetail.push_back(
-                {{dit->second.first, r.tick},
-                 {dit->second.second, r.addr}});
+            oit->second.defer.push_back(
+                {w->start, r.tick, w->owner, r.addr});
         }
-        deferOpen_.erase(dit);
         return;
       }
       case TraceEvent::CohMiss:

@@ -18,7 +18,8 @@
  * can name them ("T17@cpu3") consistently across online and offline
  * analysis. Closed instances are kept per cpu in chronological order
  * for causal-chain resolution: given (cpu, tick), instanceAt() finds
- * the transaction that held the resource at that moment.
+ * the transaction that held the resource at that moment. Deferral
+ * spans come from the WaitState the Explainer's graph builder keeps.
  */
 
 #ifndef TLR_EXPLAIN_PATH_HH
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "trace/sink.hh"
+#include "trace/wait_state.hh"
 
 namespace tlr
 {
@@ -77,11 +79,15 @@ struct TxnInstance
     }
 };
 
-class CriticalPathAccountant : public TraceListener
+/** Driven by the Explainer, after the ConflictGraphBuilder that
+ *  updates the shared WaitState on the same record. */
+class CriticalPathAccountant
 {
   public:
-    void onRecord(const TraceRecord &r) override;
-    void finish(Tick now) override;
+    explicit CriticalPathAccountant(const WaitState &w) : waits_(w) {}
+
+    void onRecord(const TraceRecord &r);
+    void finish(Tick now);
 
     /** All closed instances, global serial order. */
     const std::vector<TxnInstance> &instances() const
@@ -93,10 +99,13 @@ class CriticalPathAccountant : public TraceListener
     const TxnInstance *instanceAt(std::int16_t cpu, Tick tick) const;
 
   private:
+    /** [start, end]; a deferral's also names its owner and line. */
     struct Interval
     {
         Tick start = 0;
         Tick end = 0;
+        std::int16_t owner = -1;
+        Addr line = 0;
     };
 
     struct OpenInstance
@@ -105,19 +114,15 @@ class CriticalPathAccountant : public TraceListener
         std::vector<Interval> defer;
         std::vector<Interval> miss;
         Tick lastRestartTick = 0;
-        /** Longest defer interval tracking. */
-        std::vector<std::pair<Interval, std::pair<std::int16_t, Addr>>>
-            deferDetail; ///< interval → (owner, line)
     };
 
     void closeInstance(std::int16_t cpu, Tick end, std::string outcome);
     static void classify(OpenInstance &o);
 
+    const WaitState &waits_;
     std::map<std::int16_t, OpenInstance> open_;
-    /** (cpu) → open defer interval start/owner keyed by line. */
-    std::map<std::pair<std::int16_t, Addr>,
-             std::pair<Tick, std::int16_t>>
-        deferOpen_;
+    /** cpu → its waits below this ordinal were charged at a close. */
+    std::map<std::int16_t, std::uint64_t> chargedBelow_;
     /** (cpu, line) → miss start tick. */
     std::map<std::pair<std::int16_t, Addr>, Tick> missOpen_;
 

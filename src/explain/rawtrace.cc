@@ -119,7 +119,7 @@ RawTraceReader::forEach(const std::function<void(const TraceRecord &)> &fn)
     if (!file_)
         return "no trace file open";
     std::fseek(file_, sizeof(RawTraceHeader), SEEK_SET);
-    TraceRecord r;
+    TraceRecord r, prev;
     for (std::uint64_t n = 0; n < header_.recordCount; ++n) {
         if (std::fread(&r, sizeof(r), 1, file_) != 1)
             return "'" + path_ + "' ends after " + std::to_string(n) +
@@ -130,7 +130,16 @@ RawTraceReader::forEach(const std::function<void(const TraceRecord &)> &fn)
                    " has tick " + std::to_string(r.tick) +
                    " past the header's final_tick " +
                    std::to_string(header_.finalTick);
+        // Deferral spans are service tick - defer tick: a tick that
+        // goes backwards would wrap them.
+        if (n > 0 && (r.tick < prev.tick || r.seq <= prev.seq))
+            return "'" + path_ + "' record " + std::to_string(n) +
+                   " (tick " + std::to_string(r.tick) + ", seq " +
+                   std::to_string(r.seq) + ") is out of order after (" +
+                   std::to_string(prev.tick) + ", " +
+                   std::to_string(prev.seq) + ")";
         fn(r);
+        prev = r;
     }
     return "";
 }

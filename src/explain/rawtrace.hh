@@ -9,7 +9,8 @@
  * be exactly the header plus recordCount records (so a truncated file,
  * trailing garbage, or a crash mid-run that left the count at 0 is
  * refused), and forEach() refuses any record whose tick lies past
- * finalTick (so the header bounds what a replay can allocate).
+ * finalTick (so the header bounds what a replay can allocate) or
+ * whose tick goes backwards or seq does not increase.
  *
  *   offset  size  field
  *        0     8  magic "TLRTRACE"
@@ -91,7 +92,8 @@ class RawTraceReader
     const RawTraceHeader &header() const { return header_; }
 
     /** Stream every record through @p fn in file order, stopping at
-     *  the first record stamped past the header's finalTick.
+     *  the first record stamped past the header's finalTick or out of
+     *  (tick, seq) order.
      *  @return empty string on success, else an error description. */
     std::string forEach(const std::function<void(const TraceRecord &)> &fn);
 

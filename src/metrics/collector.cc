@@ -397,9 +397,7 @@ MetricsCollector::onRecord(const TraceRecord &r)
       }
       case TraceEvent::CohDefer:
       case TraceEvent::CohRelaxedDefer: {
-        // Keep the earliest defer tick: a request can be re-queued
-        // internally but waits from its first deferral.
-        deferStart_.emplace(std::make_pair(r.addr, r.a0), r.tick);
+        waits_.defer(r);
         // Attribute the deferral to a lock: the line itself if it is a
         // lock line, otherwise the lock the deferring owner holds.
         if (isLock_ && isLock_(r.addr)) {
@@ -412,11 +410,8 @@ MetricsCollector::onRecord(const TraceRecord &r)
         return;
       }
       case TraceEvent::CohService: {
-        auto it = deferStart_.find(std::make_pair(r.addr, r.a0));
-        if (it != deferStart_.end()) {
-            snap_.deferWait.record(r.tick - it->second);
-            deferStart_.erase(it);
-        }
+        if (const Wait *w = waits_.service(r))
+            snap_.deferWait.record(r.tick - w->start);
         return;
       }
       case TraceEvent::CohDeferDepth: {

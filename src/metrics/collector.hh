@@ -44,6 +44,7 @@
 #include "metrics/histogram.hh"
 #include "trace/lifecycle.hh"
 #include "trace/sink.hh"
+#include "trace/wait_state.hh"
 
 namespace tlr
 {
@@ -178,8 +179,7 @@ class MetricsCollector : public TraceListener
 
     MetricsSnapshot snap_;
     std::vector<OpenTxn> open_;
-    /** (line, requester) -> tick the request was first deferred. */
-    std::map<std::pair<Addr, std::uint64_t>, Tick> deferStart_;
+    WaitState waits_;
     /** Real lock holds: lock addr -> (holder cpu, acquire tick). */
     std::map<Addr, std::pair<int, Tick>> held_;
     std::map<int, std::vector<std::pair<Tick, std::uint64_t>>> depth_;

@@ -1,6 +1,7 @@
 #include "timeline/timeline.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "sim/build_info.hh"
@@ -10,12 +11,37 @@
 namespace tlr
 {
 
+namespace
+{
+
+/** EpochRow columns in CSV/JSON order, named as in both. */
+constexpr std::pair<const char *, std::uint64_t EpochRow::*> rowColumns[] = {
+    {"epoch", &EpochRow::epoch},
+    {"start_tick", &EpochRow::startTick},
+    {"records", &EpochRow::records},
+    {"commits", &EpochRow::commits},
+    {"restarts", &EpochRow::restarts},
+    {"fallbacks", &EpochRow::fallbacks},
+    {"elisions", &EpochRow::elisions},
+    {"quantum_ends", &EpochRow::quantumEnds},
+    {"defers", &EpochRow::defers},
+    {"services", &EpochRow::services},
+    {"orders", &EpochRow::orders},
+    {"defer_wait_sum", &EpochRow::deferWaitSum},
+    {"defer_wait_count", &EpochRow::deferWaitCount},
+    {"defer_wait_max", &EpochRow::deferWaitMax},
+    {"max_defer_depth", &EpochRow::maxDeferDepth},
+    {"max_queue", &EpochRow::maxQueue},
+    {"hot_line", &EpochRow::hotLine},
+    {"hot_score", &EpochRow::hotScore},
+};
+
+} // namespace
+
 EpochTimeline::EpochTimeline(Tick epoch_len) : len_(epoch_len)
 {
     if (len_ == 0)
         panic("EpochTimeline requires a positive epoch length");
-    acc_.epoch = 0;
-    acc_.startTick = 0;
 }
 
 void
@@ -52,33 +78,20 @@ EpochTimeline::onRecord(const TraceRecord &r)
       case TraceEvent::CohRelaxedDefer: {
         ++acc_.defers;
         ++epochScore_[r.addr];
-        auto key = std::make_pair(
-            r.addr, static_cast<std::int16_t>(r.a0));
-        // Keep the earliest deferral: a re-queued request waits from
-        // its first parking, and the waiter is already counted in the
-        // line's queue.
-        if (open_.emplace(key, OpenDefer{r.cpu, r.tick}).second) {
-            std::uint64_t q = ++queue_[r.addr];
+        if (waits_.defer(r)) {
             std::uint64_t &hi = epochQueueMax_[r.addr];
-            hi = std::max(hi, q);
+            hi = std::max<std::uint64_t>(hi, waits_.queues().at(r.addr));
         }
         return;
       }
       case TraceEvent::CohService: {
         ++acc_.services;
-        auto key = std::make_pair(
-            r.addr, static_cast<std::int16_t>(r.a0));
-        auto it = open_.find(key);
-        if (it != open_.end()) {
-            std::uint64_t span = r.tick - it->second.start;
+        if (const Wait *w = waits_.service(r)) {
+            std::uint64_t span = r.tick - w->start;
             acc_.deferWaitSum += span;
             ++acc_.deferWaitCount;
             acc_.deferWaitMax = std::max(acc_.deferWaitMax, span);
             waitHist_.record(span);
-            open_.erase(it);
-            auto q = queue_.find(r.addr);
-            if (q != queue_.end() && q->second > 0 && --q->second == 0)
-                queue_.erase(q);
         }
         return;
       }
@@ -105,21 +118,6 @@ EpochTimeline::finish(Tick now)
     while (now >= static_cast<Tick>(cur_ + 1) * len_)
         closeEpoch();
     closeEpoch(); // the partial final epoch containing `now`
-}
-
-std::uint64_t
-EpochTimeline::trailingSum(const std::vector<std::uint64_t> &hist) const
-{
-    std::uint64_t s = 0;
-    for (std::uint64_t v : hist)
-        s += v;
-    return s;
-}
-
-std::uint64_t
-EpochTimeline::trailingCount() const
-{
-    return histRestarts_.size();
 }
 
 void
@@ -158,7 +156,7 @@ EpochTimeline::closeEpoch()
     // convoy that persists keeps its high-water mark without needing
     // fresh deferrals.
     epochQueueMax_.clear();
-    for (const auto &[line, q] : queue_)
+    for (const auto &[line, q] : waits_.queues())
         epochQueueMax_[line] = q;
 }
 
@@ -173,8 +171,9 @@ EpochTimeline::runDetectors(const EpochRow &row, Tick boundary)
     //    mean (an empty history counts as mean 0, so a storm that
     //    starts at epoch 0 — the Figure 2 livelock — still fires).
     {
-        std::uint64_t sum = trailingSum(histRestarts_);
-        std::uint64_t n = std::max<std::uint64_t>(trailingCount(), 1);
+        std::uint64_t sum = std::accumulate(
+            histRestarts_.begin(), histRestarts_.end(), std::uint64_t{0});
+        std::uint64_t n = std::max<std::uint64_t>(histRestarts_.size(), 1);
         bool storm = row.restarts >= stormMinRestarts &&
                      row.restarts * n > stormFactor * sum;
         if (storm && !stormActive_) {
@@ -191,19 +190,13 @@ EpochTimeline::runDetectors(const EpochRow &row, Tick boundary)
     //    re-arms once its queue high-water mark drops back below the
     //    threshold.
     for (const auto &[line, hi] : epochQueueMax_) {
-        if (hi >= convoyMinQueue) {
-            if (convoyActive_.insert(line).second)
-                fire("convoy", line, hi, convoyMinQueue, boundary);
-        } else {
-            convoyActive_.erase(line);
-        }
+        if (hi >= convoyMinQueue && convoyActive_.insert(line).second)
+            fire("convoy", line, hi, convoyMinQueue, boundary);
     }
-    for (auto it = convoyActive_.begin(); it != convoyActive_.end();) {
-        if (!epochQueueMax_.count(*it))
-            it = convoyActive_.erase(it);
-        else
-            ++it;
-    }
+    std::erase_if(convoyActive_, [&](Addr line) {
+        auto it = epochQueueMax_.find(line);
+        return it == epochQueueMax_.end() || it->second < convoyMinQueue;
+    });
 
     // 3. Starvation: an open deferral's age crosses a threshold
     //    derived from the completed-wait distribution (starvationFactor
@@ -214,8 +207,8 @@ EpochTimeline::runDetectors(const EpochRow &row, Tick boundary)
         std::uint64_t thr = std::max<std::uint64_t>(
             4 * len_,
             starvationFactor * static_cast<std::uint64_t>(p99));
-        for (const auto &[key, od] : open_) {
-            std::uint64_t age = boundary - od.start;
+        for (const auto &[key, w] : waits_.open()) {
+            std::uint64_t age = boundary - w.start;
             if (age > thr && starvedAlerted_.insert(key).second)
                 fire("starvation", key.first, age, thr, boundary);
         }
@@ -225,8 +218,9 @@ EpochTimeline::runDetectors(const EpochRow &row, Tick boundary)
     //    the trailing mean while conflicts (restarts or deferrals)
     //    continue — progress stopped, activity did not.
     {
-        std::uint64_t sum = trailingSum(histCommits_);
-        std::uint64_t n = trailingCount();
+        std::uint64_t sum = std::accumulate(
+            histCommits_.begin(), histCommits_.end(), std::uint64_t{0});
+        std::uint64_t n = histCommits_.size();
         bool collapse = n > 0 && sum >= collapseMinCommits &&
                         row.commits * collapseFactor * n < sum &&
                         (row.restarts + row.defers) > 0;
@@ -248,45 +242,17 @@ EpochTimeline::fire(const std::string &kind, Addr line,
     a.line = line;
     a.value = value;
     a.threshold = threshold;
-    a.chain = chainFrom(line, boundary);
-    alerts_.push_back(std::move(a));
-}
-
-std::string
-EpochTimeline::chainFrom(Addr line, Tick at) const
-{
-    // Follow the longest-pending deferral on `line`, then the owner's
-    // own longest deferral, and so on — the same walk the explainer's
-    // causal chains perform, but over the live edge set at fire time.
-    std::string out;
-    std::set<std::int16_t> visited;
-    Addr curLine = line;
-    std::int16_t waiter = -1;
-    for (unsigned hop = 0; hop < maxChainHops; ++hop) {
-        const OpenDefer *best = nullptr;
-        std::pair<Addr, std::int16_t> bestKey{0, -1};
-        for (const auto &[key, od] : open_) {
-            if (hop == 0 ? key.first != curLine : key.second != waiter)
-                continue;
-            if (!best || od.start < best->start) {
-                best = &od;
-                bestKey = key;
-            }
-        }
-        if (!best)
-            break;
-        if (!visited.insert(bestKey.second).second)
-            break; // wait cycle: stop rather than loop
-        if (!out.empty())
-            out += " -> ";
-        out += strfmt("cpu%d waits on cpu%d (line %#llx, %llut)",
-                      bestKey.second, best->owner,
-                      static_cast<unsigned long long>(bestKey.first),
-                      static_cast<unsigned long long>(at - best->start));
-        waiter = best->owner;
-        curLine = 0;
+    // "cpu3 waits on cpu1 (line 0x80, 120t) -> cpu1 waits on ...".
+    for (const Wait *w : waits_.chainFrom(line)) {
+        if (!a.chain.empty())
+            a.chain += " -> ";
+        a.chain += strfmt("cpu%d waits on cpu%d (line %#llx, %llut)",
+                          w->waiter, w->owner,
+                          static_cast<unsigned long long>(w->line),
+                          static_cast<unsigned long long>(boundary -
+                                                          w->start));
     }
-    return out;
+    alerts_.push_back(std::move(a));
 }
 
 std::string
@@ -299,32 +265,24 @@ EpochTimeline::csv() const
                   static_cast<unsigned long long>(len_),
                   static_cast<unsigned long long>(finalTick_),
                   rows_.size(), alerts_.size());
-    out += "epoch,start_tick,records,commits,restarts,fallbacks,"
-           "elisions,quantum_ends,defers,services,orders,"
-           "defer_wait_sum,defer_wait_count,defer_wait_max,"
-           "max_defer_depth,max_queue,hot_line,hot_score\n";
+    const char *sep = "";
+    for (const auto &[name, field] : rowColumns) {
+        out += sep;
+        out += name;
+        sep = ",";
+    }
+    out += "\n";
     for (const EpochRow &e : rows_) {
-        out += strfmt(
-            "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-            "%llu,%llu,%llu,%llu,%llu,%#llx,%llu\n",
-            static_cast<unsigned long long>(e.epoch),
-            static_cast<unsigned long long>(e.startTick),
-            static_cast<unsigned long long>(e.records),
-            static_cast<unsigned long long>(e.commits),
-            static_cast<unsigned long long>(e.restarts),
-            static_cast<unsigned long long>(e.fallbacks),
-            static_cast<unsigned long long>(e.elisions),
-            static_cast<unsigned long long>(e.quantumEnds),
-            static_cast<unsigned long long>(e.defers),
-            static_cast<unsigned long long>(e.services),
-            static_cast<unsigned long long>(e.orders),
-            static_cast<unsigned long long>(e.deferWaitSum),
-            static_cast<unsigned long long>(e.deferWaitCount),
-            static_cast<unsigned long long>(e.deferWaitMax),
-            static_cast<unsigned long long>(e.maxDeferDepth),
-            static_cast<unsigned long long>(e.maxQueue),
-            static_cast<unsigned long long>(e.hotLine),
-            static_cast<unsigned long long>(e.hotScore));
+        sep = "";
+        for (const auto &[name, field] : rowColumns) {
+            out += sep;
+            out += field == &EpochRow::hotLine
+                       ? strfmt("%#llx",
+                                static_cast<unsigned long long>(e.*field))
+                       : std::to_string(e.*field);
+            sep = ",";
+        }
+        out += "\n";
     }
     for (const TimelineAlert &a : alerts_) {
         out += strfmt("alert,%s,%llu,%#llx,%llu,%llu,\"%s\"\n",
@@ -350,34 +308,12 @@ EpochTimeline::json() const
     for (size_t i = 0; i < rows_.size(); ++i) {
         const EpochRow &e = rows_[i];
         os << (i == 0 ? "\n" : ",\n");
-        os << strfmt(
-            "      {\"epoch\": %llu, \"start_tick\": %llu, "
-            "\"records\": %llu, \"commits\": %llu, \"restarts\": %llu, "
-            "\"fallbacks\": %llu, \"elisions\": %llu, "
-            "\"quantum_ends\": %llu, \"defers\": %llu, "
-            "\"services\": %llu, \"orders\": %llu, "
-            "\"defer_wait_sum\": %llu, \"defer_wait_count\": %llu, "
-            "\"defer_wait_max\": %llu, \"max_defer_depth\": %llu, "
-            "\"max_queue\": %llu, \"hot_line\": %llu, "
-            "\"hot_score\": %llu}",
-            static_cast<unsigned long long>(e.epoch),
-            static_cast<unsigned long long>(e.startTick),
-            static_cast<unsigned long long>(e.records),
-            static_cast<unsigned long long>(e.commits),
-            static_cast<unsigned long long>(e.restarts),
-            static_cast<unsigned long long>(e.fallbacks),
-            static_cast<unsigned long long>(e.elisions),
-            static_cast<unsigned long long>(e.quantumEnds),
-            static_cast<unsigned long long>(e.defers),
-            static_cast<unsigned long long>(e.services),
-            static_cast<unsigned long long>(e.orders),
-            static_cast<unsigned long long>(e.deferWaitSum),
-            static_cast<unsigned long long>(e.deferWaitCount),
-            static_cast<unsigned long long>(e.deferWaitMax),
-            static_cast<unsigned long long>(e.maxDeferDepth),
-            static_cast<unsigned long long>(e.maxQueue),
-            static_cast<unsigned long long>(e.hotLine),
-            static_cast<unsigned long long>(e.hotScore));
+        const char *sep = "      {";
+        for (const auto &[name, field] : rowColumns) {
+            os << sep << '"' << name << "\": " << e.*field;
+            sep = ", ";
+        }
+        os << "}";
     }
     os << (rows_.empty() ? "],\n" : "\n    ],\n");
     os << "    \"alerts\": [";

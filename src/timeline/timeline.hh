@@ -15,20 +15,11 @@
  * distribution figures (completed defer-wait spans, deferral-queue
  * depth, the per-line waiter-queue high-water mark).
  *
- * On top of the epoch stream four online detectors flag phase changes
- * as TimelineAlert records, each carrying the epoch, the hottest line
- * and a causal chain derived from the live wait-for state (the same
- * edges src/explain/ builds):
- *
- *   restart-storm       restart count spikes vs the trailing-window
- *                       mean (edge-triggered at storm onset)
- *   convoy              one line's simultaneous-waiter queue reaches
- *                       convoyMinQueue (per line, re-armed when the
- *                       queue drains below the threshold)
- *   starvation          an open deferral's age crosses a threshold
- *                       derived from the p99 of completed waits
- *   throughput-collapse commit rate drops below 1/collapseFactor of
- *                       the trailing mean while conflicts continue
+ * On top of the epoch stream four online detectors (restart-storm,
+ * convoy, starvation, throughput-collapse; see runDetectors()) flag
+ * phase changes as TimelineAlert records, each carrying the epoch, the
+ * hottest line and a causal chain from the live wait-for state (a
+ * WaitState, the model src/explain/ builds on too).
  *
  * Offline reconstruction: the timeline is a pure TraceListener on the
  * sink, so replaying a --trace-raw file through a fresh EpochTimeline
@@ -52,6 +43,7 @@
 #include "metrics/histogram.hh"
 #include "trace/lifecycle.hh"
 #include "trace/sink.hh"
+#include "trace/wait_state.hh"
 
 namespace tlr
 {
@@ -106,7 +98,6 @@ class EpochTimeline : public TraceListener
     static constexpr std::uint64_t collapseMinCommits = 8;
     static constexpr double starvationPercentile = 99.0;
     static constexpr std::uint64_t starvationFactor = 8;
-    static constexpr unsigned maxChainHops = 8;
     /** @} */
 
     explicit EpochTimeline(Tick epoch_len);
@@ -147,21 +138,10 @@ class EpochTimeline : public TraceListener
     std::vector<CounterTrack> counterTracks() const;
 
   private:
-    struct OpenDefer
-    {
-        std::int16_t owner = -1;
-        Tick start = 0;
-    };
-
     void closeEpoch();
     void runDetectors(const EpochRow &row, Tick boundary);
     void fire(const std::string &kind, Addr line, std::uint64_t value,
               std::uint64_t threshold, Tick boundary);
-    /** Longest-waiting open deferral chain starting at @p line:
-     *  "cpu3 waits on cpu1 (line 0x80, 120t) -> cpu1 waits on ...". */
-    std::string chainFrom(Addr line, Tick at) const;
-    std::uint64_t trailingSum(const std::vector<std::uint64_t> &hist) const;
-    std::uint64_t trailingCount() const;
 
     Tick len_;
     std::uint64_t cur_ = 0; ///< index of the accumulating epoch
@@ -172,11 +152,9 @@ class EpochTimeline : public TraceListener
     std::vector<EpochRow> rows_;
     std::vector<TimelineAlert> alerts_;
 
-    /** (line, waiter) -> deferring owner + first defer tick. */
-    std::map<std::pair<Addr, std::int16_t>, OpenDefer> open_;
-    /** Live simultaneous-waiter count per line. */
-    std::map<Addr, std::uint64_t> queue_;
-    /** Per-line high-water mark of queue_ within the current epoch. */
+    WaitState waits_;
+    /** Per-line high-water mark of the live waiter count within the
+     *  current epoch. */
     std::map<Addr, std::uint64_t> epochQueueMax_;
     /** Per-line defers+restarts within the current epoch. */
     std::map<Addr, std::uint64_t> epochScore_;

@@ -43,6 +43,10 @@ rec(Tick tick, TraceComp comp, TraceEvent kind, CpuId cpu, Addr addr,
     r.a1 = a1;
     r.a2 = a2;
     r.a3 = a3;
+    // Stamp seq in creation order, as the sink does on emission, so
+    // synthetic raw traces pass the reader's ordering check.
+    static std::uint64_t nextSeq = 0;
+    r.seq = nextSeq++;
     return r;
 }
 
@@ -289,6 +293,34 @@ TEST(RawTrace, ReaderStopsAtRecordPastFinalTick)
     std::remove(path.c_str());
 }
 
+TEST(RawTrace, ReaderRejectsRecordsOutOfOrder)
+{
+    // A tick that goes backwards would wrap every span computed from
+    // it; a seq that does not increase means records were spliced.
+    const std::string path = "test_rawtrace_order.bin";
+    RawTraceReader rd;
+    for (bool backwardTick : {true, false}) {
+        {
+            RawTraceWriter w;
+            ASSERT_EQ(w.open(path), "");
+            TraceRecord first = defer(20, 1, 0, 0x40);
+            TraceRecord second = defer(backwardTick ? 10 : 20, 2, 0, 0x40);
+            if (!backwardTick)
+                second.seq = first.seq;
+            w.onRecord(first);
+            w.onRecord(second);
+            w.finish(100);
+        }
+        ASSERT_EQ(rd.open(path), "");
+        std::size_t seen = 0;
+        std::string err = rd.forEach([&](const TraceRecord &) { ++seen; });
+        EXPECT_NE(err.find("record 1"), std::string::npos) << err;
+        EXPECT_NE(err.find("is out of order"), std::string::npos) << err;
+        EXPECT_EQ(seen, 1u);
+    }
+    std::remove(path.c_str());
+}
+
 TEST(RawTrace, ReplayDrivesListenerFinishWithFinalTick)
 {
     // Satellite case: an instance still in flight when the run ends
@@ -317,10 +349,11 @@ TEST(RawTrace, ReplayDrivesListenerFinishWithFinalTick)
 
 TEST(ConflictGraph, DeferServiceMakesOneEdge)
 {
-    ConflictGraphBuilder g;
-    g.onRecord(defer(100, /*owner=*/2, /*waiter=*/1, 0x40));
-    g.onRecord(service(150, 2, 1, 0x40, ServiceCause::CommitDrain));
-    g.finish(200);
+    Explainer ex;
+    const ConflictGraphBuilder &g = ex.graph();
+    ex.onRecord(defer(100, /*owner=*/2, /*waiter=*/1, 0x40));
+    ex.onRecord(service(150, 2, 1, 0x40, ServiceCause::CommitDrain));
+    ex.finish(200);
 
     ASSERT_EQ(g.edges().size(), 1u);
     const DeferEdge &e = g.edges()[0];
@@ -340,9 +373,10 @@ TEST(ConflictGraph, DeferServiceMakesOneEdge)
 
 TEST(ConflictGraph, UnservicedEdgeClosesAtFinish)
 {
-    ConflictGraphBuilder g;
-    g.onRecord(defer(100, 2, 1, 0x40));
-    g.finish(300);
+    Explainer ex;
+    const ConflictGraphBuilder &g = ex.graph();
+    ex.onRecord(defer(100, 2, 1, 0x40));
+    ex.finish(300);
     ASSERT_EQ(g.edges().size(), 1u);
     EXPECT_FALSE(g.edges()[0].serviced);
     EXPECT_EQ(g.edges()[0].span(), 200u);
@@ -351,11 +385,12 @@ TEST(ConflictGraph, UnservicedEdgeClosesAtFinish)
 
 TEST(ConflictGraph, RelaxedDeferFlagged)
 {
-    ConflictGraphBuilder g;
+    Explainer ex;
+    const ConflictGraphBuilder &g = ex.graph();
     TraceRecord r = defer(10, 0, 3, 0x80);
     r.kind = TraceEvent::CohRelaxedDefer;
-    g.onRecord(r);
-    g.finish(20);
+    ex.onRecord(r);
+    ex.finish(20);
     ASSERT_EQ(g.edges().size(), 1u);
     EXPECT_TRUE(g.edges()[0].relaxed);
     EXPECT_EQ(g.lines().at(0x80).relaxedDefers, 1u);
@@ -363,55 +398,59 @@ TEST(ConflictGraph, RelaxedDeferFlagged)
 
 TEST(ConflictGraph, DetectsTwoCpuWaitCycle)
 {
-    ConflictGraphBuilder g;
+    Explainer ex;
+    const ConflictGraphBuilder &g = ex.graph();
     // 1 waits on 2, then 2 waits on 1: the second edge closes a cycle.
-    g.onRecord(defer(100, 2, 1, 0x40));
+    ex.onRecord(defer(100, 2, 1, 0x40));
     EXPECT_TRUE(g.cycles().empty());
-    g.onRecord(defer(120, 1, 2, 0x80));
+    ex.onRecord(defer(120, 1, 2, 0x80));
     ASSERT_EQ(g.cycles().size(), 1u);
     EXPECT_EQ(g.cycles()[0].tick, 120u);
     EXPECT_EQ(g.cycles()[0].cpus, (std::vector<std::int16_t>{2, 1}));
-    g.finish(200);
+    ex.finish(200);
 }
 
 TEST(ConflictGraph, DetectsTransitiveCycleAndIgnoresChains)
 {
-    ConflictGraphBuilder g;
+    Explainer ex;
+    const ConflictGraphBuilder &g = ex.graph();
     // 0 → 1 → 2 is a chain, no cycle yet.
-    g.onRecord(defer(10, 1, 0, 0x40));
-    g.onRecord(defer(20, 2, 1, 0x80));
+    ex.onRecord(defer(10, 1, 0, 0x40));
+    ex.onRecord(defer(20, 2, 1, 0x80));
     EXPECT_TRUE(g.cycles().empty());
     // 2 → 0 closes the 3-cycle.
-    g.onRecord(defer(30, 0, 2, 0xc0));
+    ex.onRecord(defer(30, 0, 2, 0xc0));
     ASSERT_EQ(g.cycles().size(), 1u);
     EXPECT_EQ(g.cycles()[0].cpus.size(), 3u);
-    g.finish(100);
+    ex.finish(100);
 }
 
 TEST(ConflictGraph, ServiceBreaksCycleCandidacy)
 {
-    ConflictGraphBuilder g;
-    g.onRecord(defer(10, 2, 1, 0x40));
-    g.onRecord(service(20, 2, 1, 0x40));
+    Explainer ex;
+    const ConflictGraphBuilder &g = ex.graph();
+    ex.onRecord(defer(10, 2, 1, 0x40));
+    ex.onRecord(service(20, 2, 1, 0x40));
     // Edge 1→2 is closed, so 2→1 closes no cycle.
-    g.onRecord(defer(30, 1, 2, 0x80));
+    ex.onRecord(defer(30, 1, 2, 0x80));
     EXPECT_TRUE(g.cycles().empty());
-    g.finish(100);
+    ex.finish(100);
 }
 
 TEST(ConflictGraph, ConvoyNeedsSimultaneousWaiters)
 {
-    ConflictGraphBuilder g;
+    Explainer ex;
+    const ConflictGraphBuilder &g = ex.graph();
     // Sequential waiters on 0x40: never more than one at a time.
-    g.onRecord(defer(10, 0, 1, 0x40));
-    g.onRecord(service(20, 0, 1, 0x40));
-    g.onRecord(defer(30, 0, 2, 0x40));
-    g.onRecord(service(40, 0, 2, 0x40));
+    ex.onRecord(defer(10, 0, 1, 0x40));
+    ex.onRecord(service(20, 0, 1, 0x40));
+    ex.onRecord(defer(30, 0, 2, 0x40));
+    ex.onRecord(service(40, 0, 2, 0x40));
     // Simultaneous waiters on 0x80.
-    g.onRecord(defer(50, 0, 1, 0x80));
-    g.onRecord(defer(55, 0, 2, 0x80));
-    g.onRecord(defer(60, 0, 3, 0x80));
-    g.finish(100);
+    ex.onRecord(defer(50, 0, 1, 0x80));
+    ex.onRecord(defer(55, 0, 2, 0x80));
+    ex.onRecord(defer(60, 0, 3, 0x80));
+    ex.finish(100);
 
     EXPECT_EQ(g.lines().at(0x40).maxQueue, 1u);
     EXPECT_EQ(g.lines().at(0x80).maxQueue, 3u);
@@ -421,14 +460,15 @@ TEST(ConflictGraph, ConvoyNeedsSimultaneousWaiters)
 
 TEST(ConflictGraph, RestartEdgeCarriesWinnerFromPackedMeta)
 {
-    ConflictGraphBuilder g;
+    Explainer ex;
+    const ConflictGraphBuilder &g = ex.graph();
     Timestamp winner = Timestamp::make(9, 5); // clock 9, cpu 5
-    g.onRecord(rec(40, TraceComp::Spec, TraceEvent::TxnRestart, 3, 0x40,
+    ex.onRecord(rec(40, TraceComp::Spec, TraceEvent::TxnRestart, 3, 0x40,
                    /*reason=*/0, 0, /*ended=*/0, packTsMeta(winner)));
     // No contender noted: winner stays -1.
-    g.onRecord(rec(60, TraceComp::Spec, TraceEvent::TxnRestart, 2, 0,
+    ex.onRecord(rec(60, TraceComp::Spec, TraceEvent::TxnRestart, 2, 0,
                    /*reason=*/1, 0, 0, packTsMeta(Timestamp{})));
-    g.finish(100);
+    ex.finish(100);
 
     ASSERT_EQ(g.restartEdges().size(), 2u);
     EXPECT_EQ(g.restartEdges()[0].loser, 3);
@@ -443,17 +483,18 @@ TEST(ConflictGraph, RestartEdgeCarriesWinnerFromPackedMeta)
 
 TEST(CriticalPath, DecomposesExactTicks)
 {
-    CriticalPathAccountant a;
+    Explainer ex;
+    const CriticalPathAccountant &a = ex.paths();
     // cpu0: [100, 200] with a 20-tick miss and a 40-tick deferral.
-    a.onRecord(elide(100, 0, 0x80));
-    a.onRecord(rec(110, TraceComp::L1, TraceEvent::CohMiss, 0, 0x1c0,
+    ex.onRecord(elide(100, 0, 0x80));
+    ex.onRecord(rec(110, TraceComp::L1, TraceEvent::CohMiss, 0, 0x1c0,
                    static_cast<std::uint64_t>(ReqType::GetX)));
-    a.onRecord(rec(130, TraceComp::L1, TraceEvent::LineInstall, 0,
+    ex.onRecord(rec(130, TraceComp::L1, TraceEvent::LineInstall, 0,
                    0x1c0));
-    a.onRecord(defer(140, /*owner=*/1, /*waiter=*/0, 0x200));
-    a.onRecord(service(180, 1, 0, 0x200));
-    a.onRecord(commit(200, 0));
-    a.finish(300);
+    ex.onRecord(defer(140, /*owner=*/1, /*waiter=*/0, 0x200));
+    ex.onRecord(service(180, 1, 0, 0x200));
+    ex.onRecord(commit(200, 0));
+    ex.finish(300);
 
     ASSERT_EQ(a.instances().size(), 1u);
     const TxnInstance &t = a.instances()[0];
@@ -477,12 +518,13 @@ TEST(CriticalPath, DecomposesExactTicks)
 
 TEST(CriticalPath, RestartTurnsPrefixIntoRedo)
 {
-    CriticalPathAccountant a;
-    a.onRecord(elide(0, 0, 0x80));
-    a.onRecord(rec(50, TraceComp::Spec, TraceEvent::TxnRestart, 0, 0x40,
+    Explainer ex;
+    const CriticalPathAccountant &a = ex.paths();
+    ex.onRecord(elide(0, 0, 0x80));
+    ex.onRecord(rec(50, TraceComp::Spec, TraceEvent::TxnRestart, 0, 0x40,
                    0, 0, /*ended=*/0, packTsMeta(Timestamp::make(1, 2))));
-    a.onRecord(commit(100, 0));
-    a.finish(200);
+    ex.onRecord(commit(100, 0));
+    ex.finish(200);
 
     ASSERT_EQ(a.instances().size(), 1u);
     const TxnInstance &t = a.instances()[0];
@@ -497,18 +539,19 @@ TEST(CriticalPath, DeferWinsClassificationPriority)
 {
     // A deferral overlapping both a miss and the pre-restart window
     // must be charged to defer, not double-counted.
-    CriticalPathAccountant a;
-    a.onRecord(elide(0, 0, 0x80));
-    a.onRecord(rec(10, TraceComp::L1, TraceEvent::CohMiss, 0, 0x1c0,
+    Explainer ex;
+    const CriticalPathAccountant &a = ex.paths();
+    ex.onRecord(elide(0, 0, 0x80));
+    ex.onRecord(rec(10, TraceComp::L1, TraceEvent::CohMiss, 0, 0x1c0,
                    static_cast<std::uint64_t>(ReqType::GetX)));
-    a.onRecord(defer(10, 1, 0, 0x1c0));
-    a.onRecord(service(40, 1, 0, 0x1c0));
-    a.onRecord(rec(40, TraceComp::L1, TraceEvent::LineInstall, 0,
+    ex.onRecord(defer(10, 1, 0, 0x1c0));
+    ex.onRecord(service(40, 1, 0, 0x1c0));
+    ex.onRecord(rec(40, TraceComp::L1, TraceEvent::LineInstall, 0,
                    0x1c0));
-    a.onRecord(rec(60, TraceComp::Spec, TraceEvent::TxnRestart, 0, 0,
+    ex.onRecord(rec(60, TraceComp::Spec, TraceEvent::TxnRestart, 0, 0,
                    0, 0, 0, 0));
-    a.onRecord(commit(100, 0));
-    a.finish(200);
+    ex.onRecord(commit(100, 0));
+    ex.finish(200);
 
     ASSERT_EQ(a.instances().size(), 1u);
     const TxnInstance &t = a.instances()[0];
@@ -520,12 +563,13 @@ TEST(CriticalPath, DeferWinsClassificationPriority)
 
 TEST(CriticalPath, FallbackAndUnfinishedOutcomes)
 {
-    CriticalPathAccountant a;
-    a.onRecord(elide(0, 0, 0x80));
-    a.onRecord(rec(50, TraceComp::Spec, TraceEvent::TxnRestart, 0, 0,
+    Explainer ex;
+    const CriticalPathAccountant &a = ex.paths();
+    ex.onRecord(elide(0, 0, 0x80));
+    ex.onRecord(rec(50, TraceComp::Spec, TraceEvent::TxnRestart, 0, 0,
                    /*reason=*/0, 0, /*ended=*/1, 0));
-    a.onRecord(elide(60, 1, 0x80));
-    a.finish(200);
+    ex.onRecord(elide(60, 1, 0x80));
+    ex.finish(200);
 
     ASSERT_EQ(a.instances().size(), 2u);
     EXPECT_EQ(a.instances()[0].outcome.rfind("fallback:", 0), 0u);
@@ -534,14 +578,39 @@ TEST(CriticalPath, FallbackAndUnfinishedOutcomes)
     EXPECT_EQ(a.instances()[1].end, 200u);
 }
 
+TEST(CriticalPath, InstanceCloseChargesOpenWaitsOnce)
+{
+    // A wait still open when its instance closes is charged up to the
+    // close and not again at its later service. A wait opened at the
+    // close tick, after the close record, belongs to the next instance.
+    Explainer ex;
+    const CriticalPathAccountant &a = ex.paths();
+    ex.onRecord(elide(100, 0, 0x80));
+    ex.onRecord(defer(110, /*owner=*/1, /*waiter=*/0, 0x40));
+    ex.onRecord(commit(150, 0));
+    ex.onRecord(elide(150, 0, 0x80));
+    ex.onRecord(defer(150, 1, 0, 0x200));
+    ex.onRecord(service(180, 1, 0, 0x40));
+    ex.onRecord(service(190, 1, 0, 0x200));
+    ex.onRecord(commit(200, 0));
+    ex.finish(300);
+
+    ASSERT_EQ(a.instances().size(), 2u);
+    EXPECT_EQ(a.instances()[0].deferTicks, 40u);
+    EXPECT_EQ(a.instances()[1].deferTicks, 40u);
+    EXPECT_EQ(a.instances()[1].longestDeferLine, 0x200u);
+    EXPECT_EQ(a.instances()[1].longestDeferTick, 150u);
+}
+
 TEST(CriticalPath, InstanceAtFindsHolder)
 {
-    CriticalPathAccountant a;
-    a.onRecord(elide(100, 0, 0x80));
-    a.onRecord(commit(200, 0));
-    a.onRecord(elide(300, 0, 0x80));
-    a.onRecord(commit(400, 0));
-    a.finish(500);
+    Explainer ex;
+    const CriticalPathAccountant &a = ex.paths();
+    ex.onRecord(elide(100, 0, 0x80));
+    ex.onRecord(commit(200, 0));
+    ex.onRecord(elide(300, 0, 0x80));
+    ex.onRecord(commit(400, 0));
+    ex.finish(500);
 
     ASSERT_EQ(a.instances().size(), 2u);
     EXPECT_EQ(a.instanceAt(0, 150)->serial, 0u);
