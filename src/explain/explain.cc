@@ -1,12 +1,57 @@
 #include "explain/explain.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
 #include "sim/logging.hh"
 
 namespace tlr
 {
+
+bool
+parseExplainMode(const std::string &text, ExplainMode &out)
+{
+    if (text.empty() || text == "txn")
+        out = ExplainMode::Txn;
+    else if (text == "lock")
+        out = ExplainMode::Lock;
+    else if (text == "cpu")
+        out = ExplainMode::Cpu;
+    else
+        return false;
+    return true;
+}
+
+bool
+ExplainOutputs::parseFlag(const char *arg, std::string &err)
+{
+    std::string v;
+    if (tlr::parseFlag(arg, "--explain-dot", v))
+        dotPath = v;
+    else if (tlr::parseFlag(arg, "--explain-json", v))
+        jsonPath = v;
+    else if (tlr::parseFlag(arg, "--explain", v) ||
+             std::strcmp(arg, "--explain") == 0) {
+        if (!parseExplainMode(v, mode))
+            err = "unknown explain mode '" + v + "' (txn|lock|cpu)";
+    } else
+        return false;
+    on = true;
+    return true;
+}
+
+ArtifactError
+ExplainOutputs::write(const Explainer &ex, std::string &report) const
+{
+    ArtifactError e;
+    if (!dotPath.empty())
+        e = writeFile(dotPath, ex.dot());
+    if (!e && !jsonPath.empty())
+        e = writeFile(jsonPath, ex.json());
+    report = ex.report(mode);
+    return e;
+}
 
 std::vector<ChainLink>
 Explainer::chainFor(const TxnInstance &t) const

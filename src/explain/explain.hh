@@ -33,6 +33,7 @@
 
 #include "explain/graph.hh"
 #include "explain/path.hh"
+#include "sim/fileio.hh"
 #include "trace/lifecycle.hh"
 
 namespace tlr
@@ -44,6 +45,10 @@ enum class ExplainMode
     Lock, ///< per-line contention ranking
     Cpu,  ///< per-cpu time decomposition
 };
+
+/** Parse an --explain MODE: "" or "txn", "lock", "cpu". */
+[[nodiscard]] bool parseExplainMode(const std::string &text,
+                                    ExplainMode &out);
 
 /** One hop of a causal chain: @c waiter waited on @c owner. */
 struct ChainLink
@@ -100,6 +105,27 @@ class Explainer : public TraceListener
     CriticalPathAccountant path_;
     unsigned topK_;
     Tick finalTick_ = 0;
+};
+
+/** The explain outputs one run asks for, shared by tlrsim (online)
+ *  and tlrquery (offline replay). */
+struct ExplainOutputs
+{
+    bool on = false;
+    ExplainMode mode = ExplainMode::Txn;
+    std::string dotPath;  ///< "" = no DOT file
+    std::string jsonPath; ///< "" = no JSON file
+
+    /** Consume @p arg when it is --explain[=MODE], --explain-dot=FILE
+     *  or --explain-json=FILE (the last two imply --explain).
+     *  @return false when @p arg is none of them; @p err is set when
+     *          it is one of them with a bad MODE. */
+    bool parseFlag(const char *arg, std::string &err);
+
+    /** Write the DOT and JSON files of @p ex that were asked for and
+     *  render the text report for @p mode into @p report. */
+    [[nodiscard]] ArtifactError write(const Explainer &ex,
+                                      std::string &report) const;
 };
 
 } // namespace tlr

@@ -1,5 +1,6 @@
 #include "explain/rawtrace.hh"
 
+#include <cerrno>
 #include <cstring>
 
 namespace tlr
@@ -9,9 +10,11 @@ std::string
 RawTraceWriter::open(const std::string &path)
 {
     close();
+    error_.clear();
     file_ = std::fopen(path.c_str(), "wb");
     if (!file_)
         return "cannot open '" + path + "' for writing";
+    path_ = path;
     header_ = RawTraceHeader{};
     if (std::fwrite(&header_, sizeof(header_), 1, file_) != 1) {
         close();
@@ -37,11 +40,18 @@ RawTraceWriter::finish(Tick now)
     if (!file_)
         return;
     header_.finalTick = now;
-    std::fseek(file_, 0, SEEK_SET);
-    std::fwrite(&header_, sizeof(header_), 1, file_);
-    std::fflush(file_);
-    // Leave the file open so a second finish() (defensive) still has
-    // somewhere to patch; close() runs from the destructor.
+    // ferror() also catches a record write that failed in onRecord.
+    bool ok = std::fseek(file_, 0, SEEK_SET) == 0 &&
+              std::fwrite(&header_, sizeof(header_), 1, file_) == 1 &&
+              std::fflush(file_) == 0 && !std::ferror(file_);
+    int err = ok ? 0 : errno;
+    if (std::fclose(file_) != 0 && ok) {
+        ok = false;
+        err = errno;
+    }
+    file_ = nullptr;
+    if (!ok)
+        error_ = "write failed for '" + path_ + "': " + std::strerror(err);
 }
 
 void
@@ -130,6 +140,13 @@ RawTraceReader::forEach(const std::function<void(const TraceRecord &)> &fn)
                    " has tick " + std::to_string(r.tick) +
                    " past the header's final_tick " +
                    std::to_string(header_.finalTick);
+        // A value no enumerator names is corruption, not a new event.
+        if (static_cast<int>(r.kind) >= numTraceEvents ||
+            static_cast<int>(r.comp) >= numTraceComps)
+            return "'" + path_ + "' record " + std::to_string(n) +
+                   " has kind " + std::to_string(static_cast<int>(r.kind)) +
+                   " / comp " + std::to_string(static_cast<int>(r.comp)) +
+                   ", outside the TraceEvent / TraceComp enums";
         // Deferral spans are service tick - defer tick: a tick that
         // goes backwards would wrap them.
         if (n > 0 && (r.tick < prev.tick || r.seq <= prev.seq))

@@ -9,8 +9,9 @@
  * be exactly the header plus recordCount records (so a truncated file,
  * trailing garbage, or a crash mid-run that left the count at 0 is
  * refused), and forEach() refuses any record whose tick lies past
- * finalTick (so the header bounds what a replay can allocate) or
- * whose tick goes backwards or seq does not increase.
+ * finalTick (so the header bounds what a replay can allocate), whose
+ * tick goes backwards or seq does not increase, or whose kind or comp
+ * lies outside its enum.
  *
  *   offset  size  field
  *        0     8  magic "TLRTRACE"
@@ -72,8 +73,15 @@ class RawTraceWriter : public TraceListener
 
     std::uint64_t written() const { return header_.recordCount; }
 
+    /** Empty while every write, the header back-patch, the flush and
+     *  the close have succeeded; else what failed. finish() is a
+     *  TraceListener override and cannot return it. */
+    const std::string &error() const { return error_; }
+
   private:
     std::FILE *file_ = nullptr;
+    std::string path_;
+    std::string error_;
     RawTraceHeader header_;
     TraceFilter filter_;
 };
@@ -92,8 +100,8 @@ class RawTraceReader
     const RawTraceHeader &header() const { return header_; }
 
     /** Stream every record through @p fn in file order, stopping at
-     *  the first record stamped past the header's finalTick or out of
-     *  (tick, seq) order.
+     *  the first record stamped past the header's finalTick, out of
+     *  (tick, seq) order, or with a kind or comp outside its enum.
      *  @return empty string on success, else an error description. */
     std::string forEach(const std::function<void(const TraceRecord &)> &fn);
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fileio.hh"
 #include "sim/json.hh"
 
 namespace tlr
@@ -78,6 +79,17 @@ struct DiffReport
     {
         return error.empty() && !schemaMismatch &&
                !timelineEpochMismatch;
+    }
+
+    /** Exit status of tlrstat and tlrreport --diff (DESIGN.md §15). */
+    int
+    exitCode() const
+    {
+        if (schemaMismatch || timelineEpochMismatch)
+            return ExitRejected;
+        if (!error.empty())
+            return ExitUsage;
+        return exceeded > 0 ? ExitThreshold : ExitOk;
     }
 };
 

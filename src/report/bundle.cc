@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include <dirent.h>
@@ -19,13 +18,6 @@ namespace tlr
 
 namespace
 {
-
-bool
-isDir(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
 
 bool
 fileExists(const std::string &path)
@@ -54,41 +46,33 @@ makeDirs(const std::string &path, std::string &err)
             return false;
         }
     }
-    if (!isDir(path)) {
+    if (!isDirectory(path)) {
         err = "'" + path + "' exists but is not a directory";
         return false;
     }
     return true;
 }
 
-bool
-writeFile(const std::string &path, const std::string &text,
-          std::string &err)
+/** Read and parse one JSON artifact: unreadable is exit 1, not JSON
+ *  is exit 2. */
+ArtifactError
+loadJsonFile(const std::string &path, JsonValue &doc)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        err = "cannot write '" + path + "'";
-        return false;
-    }
-    out << text;
-    out.close();
-    if (!out) {
-        err = "write failed for '" + path + "'";
-        return false;
-    }
-    return true;
+    std::string text, err;
+    if (ArtifactError e = readFile(path, text))
+        return e;
+    if (!parseJson(text, doc, err))
+        return {ExitRejected, path + ": " + err};
+    return {};
 }
 
+/** True when the manifest's artifact map names @p key (not null). */
 bool
-readFile(const std::string &path, std::string &out)
+listed(const JsonValue &manifest, const char *key)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
+    const JsonValue *arts = manifest.find("artifacts");
+    const JsonValue *v = arts ? arts->find(key) : nullptr;
+    return v && v->kind != JsonValue::Kind::Null;
 }
 
 std::string
@@ -218,77 +202,94 @@ writeRunBundle(const std::string &ledgerDir, const BundleMeta &meta,
     if (!makeDirs(entryDir, err))
         return "";
 
-    if (!writeFile(entryDir + "/manifest.json",
-                   renderManifest(meta, art), err))
-        return "";
-    if (!writeFile(entryDir + "/stats.json", art.statsJson, err))
-        return "";
-    if (!art.timelineCsv.empty() &&
-        !writeFile(entryDir + "/timeline.csv", art.timelineCsv, err))
-        return "";
-    if (!art.explainText.empty() &&
-        !writeFile(entryDir + "/explain.txt", art.explainText, err))
-        return "";
-    if (!art.rawTracePath.empty()) {
+    ArtifactError e =
+        writeFile(entryDir + "/manifest.json", renderManifest(meta, art));
+    if (!e)
+        e = writeFile(entryDir + "/stats.json", art.statsJson);
+    if (!e && !art.timelineCsv.empty())
+        e = writeFile(entryDir + "/timeline.csv", art.timelineCsv);
+    if (!e && !art.explainText.empty())
+        e = writeFile(entryDir + "/explain.txt", art.explainText);
+    if (!e && !art.rawTracePath.empty()) {
         std::string bytes;
-        if (!readFile(art.rawTracePath, bytes)) {
-            err = "cannot read raw trace '" + art.rawTracePath + "'";
-            return "";
-        }
-        if (!writeFile(entryDir + "/trace.bin", bytes, err))
-            return "";
+        e = readFile(art.rawTracePath, bytes);
+        if (!e)
+            e = writeFile(entryDir + "/trace.bin", bytes);
+    }
+    if (e) {
+        err = e.message;
+        return "";
     }
     return entryDir;
 }
 
-bool
-loadBundle(const std::string &dir, LoadedBundle &out, std::string &err)
+ArtifactError
+loadBundle(const std::string &dir, LoadedBundle &out)
 {
     out = LoadedBundle{};
     out.dir = dir;
-    size_t slash = dir.find_last_of('/');
     // Trailing slashes would make the basename empty; trim them.
     std::string trimmed = dir;
     while (!trimmed.empty() && trimmed.back() == '/')
         trimmed.pop_back();
-    slash = trimmed.find_last_of('/');
+    size_t slash = trimmed.find_last_of('/');
     out.name = slash == std::string::npos ? trimmed
                                           : trimmed.substr(slash + 1);
 
-    std::string text;
-    if (!readFile(dir + "/manifest.json", text)) {
-        err = "'" + dir + "' is not a run bundle (no manifest.json)";
-        return false;
-    }
-    if (!parseJson(text, out.manifest, err)) {
-        err = dir + "/manifest.json: " + err;
-        return false;
-    }
+    if (!fileExists(dir + "/manifest.json"))
+        return {ExitUsage,
+                "'" + dir + "' is not a run bundle (no manifest.json)"};
+    if (ArtifactError e = loadJsonFile(dir + "/manifest.json", out.manifest))
+        return e;
     const JsonValue *schema = out.manifest.find("schema_version");
     long v = schema && schema->isNumber()
                  ? static_cast<long>(schema->number)
                  : -1;
-    if (v != reportBundleSchemaVersion) {
-        err = strfmt("%s: bundle schema_version %ld, this tool "
-                     "understands v%d (refusing to read across bundle "
-                     "schema versions)",
-                     dir.c_str(), v, reportBundleSchemaVersion);
-        return false;
-    }
+    if (v != reportBundleSchemaVersion)
+        return {ExitRejected,
+                strfmt("%s: bundle schema_version %ld, this tool "
+                       "understands v%d (refusing to read across bundle "
+                       "schema versions)",
+                       dir.c_str(), v, reportBundleSchemaVersion)};
 
-    if (!readFile(dir + "/stats.json", text)) {
-        err = "'" + dir + "' has no stats.json";
-        return false;
-    }
-    if (!parseJson(text, out.stats, err)) {
-        err = dir + "/stats.json: " + err;
-        return false;
-    }
-
-    readFile(dir + "/timeline.csv", out.timelineCsv);
-    readFile(dir + "/explain.txt", out.explainText);
+    // stats.json is always required; the other members only when the
+    // manifest lists them.
+    auto missing = [&](const char *key, const char *file) {
+        return ArtifactError{
+            ExitRejected,
+            strfmt("%s: the manifest lists member '%s' but %s is missing",
+                   dir.c_str(), key, file)};
+    };
+    if (!fileExists(dir + "/stats.json"))
+        return missing("stats", "stats.json");
+    if (ArtifactError e = loadJsonFile(dir + "/stats.json", out.stats))
+        return e;
+    if (readFile(dir + "/timeline.csv", out.timelineCsv) &&
+        listed(out.manifest, "timeline"))
+        return missing("timeline", "timeline.csv");
+    if (readFile(dir + "/explain.txt", out.explainText) &&
+        listed(out.manifest, "explain"))
+        return missing("explain", "explain.txt");
     out.hasTrace = fileExists(dir + "/trace.bin");
-    return true;
+    if (!out.hasTrace && listed(out.manifest, "trace"))
+        return missing("trace", "trace.bin");
+    return {};
+}
+
+ArtifactError
+loadStatsOperand(const std::string &path, JsonValue &doc,
+                 std::string &name)
+{
+    if (!isDirectory(path)) {
+        name = path;
+        return loadJsonFile(path, doc);
+    }
+    LoadedBundle b;
+    if (ArtifactError e = loadBundle(path, b))
+        return e;
+    doc = std::move(b.stats);
+    name = b.name;
+    return {};
 }
 
 std::vector<std::string>
@@ -303,7 +304,7 @@ listLedger(const std::string &ledgerDir)
         if (name == "." || name == "..")
             continue;
         std::string path = ledgerDir + "/" + name;
-        if (isDir(path) && fileExists(path + "/manifest.json"))
+        if (isDirectory(path) && fileExists(path + "/manifest.json"))
             out.push_back(path);
     }
     ::closedir(d);

@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fileio.hh"
 #include "sim/json.hh"
 #include "sim/types.hh"
 
@@ -103,9 +104,10 @@ std::string renderManifest(const BundleMeta &meta,
  *  needed), write the manifest and every present artifact.
  *  @return the entry directory path; empty with @p err set on any
  *          filesystem failure. */
-std::string writeRunBundle(const std::string &ledgerDir,
-                           const BundleMeta &meta,
-                           const BundleArtifacts &art, std::string &err);
+[[nodiscard]] std::string writeRunBundle(const std::string &ledgerDir,
+                                         const BundleMeta &meta,
+                                         const BundleArtifacts &art,
+                                         std::string &err);
 
 /** One bundle read back from disk (tlrreport input). */
 struct LoadedBundle
@@ -119,11 +121,22 @@ struct LoadedBundle
     bool hasTrace = false;   ///< trace.bin present on disk
 };
 
-/** Load manifest + artifacts of one entry directory. @return false
- *  with @p err set when the manifest or stats document is missing,
- *  unparseable, or carries a different bundle schema version. */
-bool loadBundle(const std::string &dir, LoadedBundle &out,
-                std::string &err);
+/** Load manifest + artifacts of one entry directory. Fails with exit
+ *  1 when there is no readable manifest.json, and with exit 2 when the
+ *  manifest or stats document does not parse, the manifest carries a
+ *  different bundle schema version, or a member it lists (stats,
+ *  timeline, explain, trace) is missing. A member listed as null is
+ *  optional. */
+[[nodiscard]] ArtifactError loadBundle(const std::string &dir,
+                                       LoadedBundle &out);
+
+/** Load a stats operand of tlrstat or tlrreport --diff: a bundle
+ *  directory (its stats.json, named by the entry) or a stats JSON file
+ *  (named by its path). Fails like loadBundle or readFile; a file that
+ *  does not parse is exit 2. */
+[[nodiscard]] ArtifactError loadStatsOperand(const std::string &path,
+                                             JsonValue &doc,
+                                             std::string &name);
 
 /** Bundle entry directories under @p ledgerDir, sorted by name (the
  *  sequence prefix makes that run order). Non-bundle entries (no

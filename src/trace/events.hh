@@ -31,6 +31,8 @@ enum class TraceComp : std::uint8_t
     Net,  ///< point-to-point data network
 };
 
+constexpr int numTraceComps = static_cast<int>(TraceComp::Net) + 1;
+
 const char *traceCompName(TraceComp c);
 
 /**
@@ -108,6 +110,8 @@ enum class TraceEvent : std::uint8_t
      *  addr=word, a0=value (comp=L1). */
     MemWrite,
 };
+
+constexpr int numTraceEvents = static_cast<int>(TraceEvent::MemWrite) + 1;
 
 const char *traceEventName(TraceEvent e);
 

@@ -53,10 +53,6 @@ parseU64(const std::string &s, std::uint64_t &out)
     return end && *end == '\0';
 }
 
-constexpr int numTraceEvents =
-    static_cast<int>(TraceEvent::MemWrite) + 1;
-constexpr int numTraceComps = static_cast<int>(TraceComp::Net) + 1;
-
 } // namespace
 
 bool

@@ -158,7 +158,8 @@ TEST(Bundle, LedgerSequencingAndLoad)
     EXPECT_NE(entries[2].find("0003-"), std::string::npos);
 
     LoadedBundle b;
-    ASSERT_TRUE(loadBundle(entries[1], b, err)) << err;
+    ArtifactError e = loadBundle(entries[1], b);
+    ASSERT_FALSE(e) << e.message;
     EXPECT_EQ(b.name, "0002-single-counter-base-sle-tlr-p4");
     EXPECT_FALSE(b.hasTrace);
     EXPECT_TRUE(b.timelineCsv.empty());
@@ -188,8 +189,10 @@ TEST(Bundle, RefusesForeignSchemaVersion)
     std::fclose(f);
 
     LoadedBundle b;
-    EXPECT_FALSE(loadBundle(entry, b, err));
-    EXPECT_NE(err.find("schema_version 999"), std::string::npos) << err;
+    ArtifactError e = loadBundle(entry, b);
+    EXPECT_EQ(e.exitCode, ExitRejected);
+    EXPECT_NE(e.message.find("schema_version 999"), std::string::npos)
+        << e.message;
 }
 
 TEST(Svg, SparklineEdgeCases)
@@ -254,9 +257,10 @@ TEST(Report, FullBundleViaEnvHookAndDeterminism)
     ASSERT_EQ(eb.size(), 1u);
 
     LoadedBundle a, b;
-    std::string err;
-    ASSERT_TRUE(loadBundle(ea[0], a, err)) << err;
-    ASSERT_TRUE(loadBundle(eb[0], b, err)) << err;
+    ArtifactError ea0 = loadBundle(ea[0], a);
+    ArtifactError eb0 = loadBundle(eb[0], b);
+    ASSERT_FALSE(ea0) << ea0.message;
+    ASSERT_FALSE(eb0) << eb0.message;
     EXPECT_FALSE(a.hasTrace); // env hook records no raw trace
 
     std::string htmlA = renderFlightReport(a);

@@ -15,15 +15,13 @@
  * Filters use the exact syntax of tlrsim --trace-filter; the
  * shorthands --cpu/--kind/--class/--lock/--tick merge into the same
  * filter. Output is deterministic: the same file and flags always
- * produce byte-identical output (CI relies on this). Exit status is 0
- * on success, 1 on a usage or output-file error, 2 when the trace is
- * unreadable or rejected (bad header, a size that disagrees with the
- * header's record count, a record past the header's final tick).
+ * produce byte-identical output (CI relies on this). Exit codes and
+ * what the trace reader rejects: DESIGN.md §15, "Artifact I/O
+ * contract" (a trace that cannot be opened is exit 2 too).
  */
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,11 +46,8 @@ struct Options
     bool header = false;
     std::string countKey;  // cpu | kind | class | lock | comp
     bool count = false;
-    bool explainOn = false;
-    std::string explainMode; // txn | lock | cpu
-    std::string explainDot;
-    std::string explainJson;
-    std::string out;       // output destination ("" = stdout)
+    ExplainOutputs explain;
+    std::string out = "-"; // output destination ("-" = stdout)
     std::uint64_t limit = 0; // 0 = unlimited
     Tick timelineEpoch = 0;  // --timeline=N offline reconstruction
 };
@@ -88,31 +83,6 @@ usage()
         "  --version           build metadata + schema versions\n");
 }
 
-bool
-parseFlag(const char *arg, const char *name, std::string &out)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
-ExplainMode
-parseExplainMode(const std::string &m)
-{
-    if (m.empty() || m == "txn")
-        return ExplainMode::Txn;
-    if (m == "lock")
-        return ExplainMode::Lock;
-    if (m == "cpu")
-        return ExplainMode::Cpu;
-    std::fprintf(stderr, "unknown explain mode '%s' (txn|lock|cpu)\n",
-                 m.c_str());
-    std::exit(1);
-}
-
 std::string
 countKeyOf(const TraceRecord &r, const std::string &key)
 {
@@ -138,13 +108,17 @@ main(int argc, char **argv)
         std::string err = filter.parse(term);
         if (!err.empty()) {
             std::fprintf(stderr, "bad filter: %s\n", err.c_str());
-            std::exit(1);
+            std::exit(ExitUsage);
         }
     };
     for (int i = 1; i < argc; ++i) {
-        std::string v;
+        std::string v, err;
         const char *a = argv[i];
-        if (parseFlag(a, "--filter", v)) addFilterTerm(v);
+        if (o.explain.parseFlag(a, err)) {
+            if (!err.empty())
+                return reportError("tlrquery", {ExitUsage, err});
+        }
+        else if (parseFlag(a, "--filter", v)) addFilterTerm(v);
         else if (parseFlag(a, "--cpu", v)) addFilterTerm("cpu:" + v);
         else if (parseFlag(a, "--kind", v)) addFilterTerm("kind:" + v);
         else if (parseFlag(a, "--class", v)) addFilterTerm("class:" + v);
@@ -161,55 +135,42 @@ main(int argc, char **argv)
         }
         else if (parseFlag(a, "--limit", v))
             o.limit = std::strtoull(v.c_str(), nullptr, 0);
-        else if (parseFlag(a, "--explain-dot", v)) {
-            o.explainOn = true;
-            o.explainDot = v;
-        }
-        else if (parseFlag(a, "--explain-json", v)) {
-            o.explainOn = true;
-            o.explainJson = v;
-        }
-        else if (parseFlag(a, "--explain", v)) {
-            o.explainOn = true;
-            o.explainMode = v;
-        }
-        else if (std::strcmp(a, "--explain") == 0) o.explainOn = true;
         else if (parseFlag(a, "--timeline", v))
             o.timelineEpoch = std::strtoull(v.c_str(), nullptr, 0);
         else if (parseFlag(a, "--out", v)) o.out = v;
         else if (std::strcmp(a, "--header") == 0) o.header = true;
         else if (std::strcmp(a, "--version") == 0) {
             std::printf("%s", versionString("tlrquery").c_str());
-            return 0;
+            return ExitOk;
         }
         else if (std::strcmp(a, "--help") == 0 ||
                  std::strcmp(a, "-h") == 0) {
             usage();
-            return 0;
+            return ExitOk;
         } else if (a[0] == '-') {
             std::fprintf(stderr, "unknown flag: %s\n", a);
             usage();
-            return 1;
+            return ExitUsage;
         } else if (o.file.empty()) {
             o.file = a;
         } else {
             std::fprintf(stderr, "more than one input file\n");
-            return 1;
+            return ExitUsage;
         }
     }
     if (o.file.empty()) {
         std::fprintf(stderr, "no input file\n");
         usage();
-        return 1;
+        return ExitUsage;
     }
-    if (o.count && o.explainOn) {
+    if (o.count && o.explain.on) {
         std::fprintf(stderr, "--count and --explain are exclusive\n");
-        return 1;
+        return ExitUsage;
     }
-    if (o.timelineEpoch > 0 && (o.count || o.explainOn)) {
+    if (o.timelineEpoch > 0 && (o.count || o.explain.on)) {
         std::fprintf(stderr,
                      "--timeline is exclusive with --count/--explain\n");
-        return 1;
+        return ExitUsage;
     }
     if (o.timelineEpoch > 0 && !filter.empty()) {
         // A thinned stream would reconstruct a different timeline than
@@ -217,7 +178,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "--timeline replays the full stream (no --filter); "
                      "record the file unfiltered\n");
-        return 1;
+        return ExitUsage;
     }
     if (o.count && o.countKey != "kind" && o.countKey != "cpu" &&
         o.countKey != "class" && o.countKey != "lock" &&
@@ -226,20 +187,14 @@ main(int argc, char **argv)
                      "unknown count key '%s' "
                      "(kind|cpu|class|lock|comp)\n",
                      o.countKey.c_str());
-        return 1;
+        return ExitUsage;
     }
 
     RawTraceReader reader;
     std::string err = reader.open(o.file);
-    auto rejected = [&] {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
-    };
     if (!err.empty())
-        return rejected();
+        return reportError("tlrquery", {ExitRejected, err});
 
-    std::ofstream outFile;
-    std::ostream *os = nullptr;
     std::string buffer;
     auto emit = [&](const std::string &line) { buffer += line; };
 
@@ -273,7 +228,7 @@ main(int argc, char **argv)
         EpochTimeline timeline(o.timelineEpoch);
         err = reader.replay(timeline);
         emit(timeline.csv());
-    } else if (o.explainOn) {
+    } else if (o.explain.on) {
         Explainer explainer;
         err = reader.forEach([&](const TraceRecord &r) {
             if (!filter.empty() && !filter.matches(r))
@@ -281,27 +236,12 @@ main(int argc, char **argv)
             explainer.onRecord(r);
         });
         if (!err.empty())
-            return rejected();
+            return reportError("tlrquery", {ExitRejected, err});
         explainer.finish(h.finalTick);
-        emit(explainer.report(parseExplainMode(o.explainMode)));
-        if (!o.explainDot.empty()) {
-            std::ofstream dot(o.explainDot);
-            if (!dot) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             o.explainDot.c_str());
-                return 1;
-            }
-            dot << explainer.dot();
-        }
-        if (!o.explainJson.empty()) {
-            std::ofstream json(o.explainJson);
-            if (!json) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             o.explainJson.c_str());
-                return 1;
-            }
-            json << explainer.json();
-        }
+        std::string report;
+        if (ArtifactError e = o.explain.write(explainer, report))
+            return reportError("tlrquery", e);
+        emit(report);
     } else {
         std::uint64_t printed = 0;
         err = reader.forEach([&](const TraceRecord &r) {
@@ -315,18 +255,8 @@ main(int argc, char **argv)
     }
 
     if (!err.empty())
-        return rejected();
-
-    if (!o.out.empty()) {
-        outFile.open(o.out, std::ios::binary);
-        if (!outFile) {
-            std::fprintf(stderr, "cannot write '%s'\n", o.out.c_str());
-            return 1;
-        }
-        os = &outFile;
-        *os << buffer;
-    } else {
-        std::fwrite(buffer.data(), 1, buffer.size(), stdout);
-    }
-    return 0;
+        return reportError("tlrquery", {ExitRejected, err});
+    if (ArtifactError e = writeFile(o.out, buffer))
+        return reportError("tlrquery", e);
+    return ExitOk;
 }

@@ -10,9 +10,8 @@
  *
  * The HTML goes to --out (default stdout); the human-readable digest
  * always goes to stderr so piping the page never mixes streams. Exit
- * codes follow tlrstat: 0 clean, 1 usage/IO/parse error, 2 schema or
- * epoch-length refusal, 3 threshold exceeded (diff) or at least one
- * regressed metric (trend).
+ * codes, `-` and what each reader rejects: DESIGN.md §15, "Artifact
+ * I/O contract" (3 = diff threshold exceeded or a trend regression).
  *
  * Byte-determinism contract: for the same simulation config and seed,
  * the emitted HTML is identical on any host — enforced by ctest
@@ -20,14 +19,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
-
-#include <sys/stat.h>
 
 #include "metrics/statdiff.hh"
 #include "report/bundle.hh"
@@ -52,105 +46,24 @@ usage()
         "                                      metric\n"
         "\n"
         "  --out=FILE          write the HTML here (default '-', stdout)\n"
-        "  --threshold=PCT     regression threshold for --diff/--trend\n"
+        "  --threshold=PCT[%%]  regression threshold for --diff/--trend\n"
         "                      (default 20)\n"
         "  --version           print build and schema versions\n"
         "\n"
-        "exit codes: 0 clean; 1 usage/IO error; 2 schema refusal;\n"
+        "exit codes: 0 clean; 1 usage/IO error; 2 rejected input;\n"
         "            3 diff threshold exceeded / trend regression\n");
-}
-
-bool
-isDirectory(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-bool
-parseFlag(const char *arg, const char *name, std::string &out)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0 || arg[n] != '=')
-        return false;
-    out = arg + n + 1;
-    return true;
-}
-
-int
-writeOutput(const std::string &outPath, const std::string &html)
-{
-    if (outPath.empty() || outPath == "-") {
-        std::fwrite(html.data(), 1, html.size(), stdout);
-        return 0;
-    }
-    std::ofstream out(outPath, std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr, "tlrreport: cannot write '%s'\n",
-                     outPath.c_str());
-        return 1;
-    }
-    out << html;
-    out.close();
-    if (!out) {
-        std::fprintf(stderr, "tlrreport: write failed for '%s'\n",
-                     outPath.c_str());
-        return 1;
-    }
-    return 0;
-}
-
-/** A --diff operand is either a bundle directory or a bare stats-json
- *  file; load whichever it is into a stats document. */
-bool
-loadDiffOperand(const std::string &path, tlr::JsonValue &doc,
-                std::string &name)
-{
-    if (isDirectory(path)) {
-        tlr::LoadedBundle b;
-        std::string err;
-        if (!tlr::loadBundle(path, b, err)) {
-            std::fprintf(stderr, "tlrreport: %s\n", err.c_str());
-            return false;
-        }
-        doc = std::move(b.stats);
-        name = b.name;
-        return true;
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "tlrreport: cannot read '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string err;
-    if (!tlr::parseJson(ss.str(), doc, err)) {
-        std::fprintf(stderr, "tlrreport: %s: %s\n", path.c_str(),
-                     err.c_str());
-        return false;
-    }
-    name = path;
-    return true;
 }
 
 int
 runReport(const std::string &dir, const std::string &outPath)
 {
     tlr::LoadedBundle b;
-    std::string err;
-    if (!tlr::loadBundle(dir, b, err)) {
-        std::fprintf(stderr, "tlrreport: %s\n", err.c_str());
-        // A present-but-foreign bundle schema is a refusal, not an
-        // IO error; everything else in loadBundle is.
-        return err.find("schema_version") != std::string::npos ? 2 : 1;
-    }
-    int rc = writeOutput(outPath, tlr::renderFlightReport(b));
-    if (rc == 0)
-        std::fprintf(stderr, "report: rendered bundle %s\n",
-                     b.name.c_str());
-    return rc;
+    if (auto e = tlr::loadBundle(dir, b))
+        return tlr::reportError("tlrreport", e);
+    if (auto e = tlr::writeFile(outPath, tlr::renderFlightReport(b)))
+        return tlr::reportError("tlrreport", e);
+    std::fprintf(stderr, "report: rendered bundle %s\n", b.name.c_str());
+    return tlr::ExitOk;
 }
 
 int
@@ -160,53 +73,47 @@ runDiff(const std::string &oldPath, const std::string &newPath,
     tlr::DiffOptions opt;
     opt.thresholdPct = thresholdPct;
     tlr::JsonValue oldDoc, newDoc;
-    if (!loadDiffOperand(oldPath, oldDoc, opt.oldName) ||
-        !loadDiffOperand(newPath, newDoc, opt.newName))
-        return 1;
+    if (auto e = tlr::loadStatsOperand(oldPath, oldDoc, opt.oldName))
+        return tlr::reportError("tlrreport", e);
+    if (auto e = tlr::loadStatsOperand(newPath, newDoc, opt.newName))
+        return tlr::reportError("tlrreport", e);
     tlr::DiffReport rep = tlr::diffStats(oldDoc, newDoc, opt);
-    int rc = writeOutput(outPath, tlr::renderDiffHtml(rep, opt));
-    if (rc != 0)
-        return rc;
+    if (auto e = tlr::writeFile(outPath, tlr::renderDiffHtml(rep, opt)))
+        return tlr::reportError("tlrreport", e);
     // The same text tlrstat prints, so CI logs read identically
     // whichever tool rendered the comparison.
     std::string text = tlr::renderDiff(rep, opt);
     std::fwrite(text.data(), 1, text.size(), stderr);
-    if (!rep.ok())
-        return rep.error.empty() ? 2 : 1;
-    return rep.exceeded ? 3 : 0;
+    return rep.exitCode();
 }
 
 int
 runTrend(const std::string &ledgerDir, const std::string &outPath,
          double thresholdPct)
 {
-    if (!isDirectory(ledgerDir)) {
+    if (!tlr::isDirectory(ledgerDir)) {
         std::fprintf(stderr, "tlrreport: '%s' is not a directory\n",
                      ledgerDir.c_str());
-        return 1;
+        return tlr::ExitUsage;
     }
     std::vector<tlr::LoadedBundle> runs;
     for (const std::string &dir : tlr::listLedger(ledgerDir)) {
         tlr::LoadedBundle b;
-        std::string err;
-        if (!tlr::loadBundle(dir, b, err)) {
-            std::fprintf(stderr, "tlrreport: %s\n", err.c_str());
-            return err.find("schema_version") != std::string::npos ? 2
-                                                                   : 1;
-        }
+        if (auto e = tlr::loadBundle(dir, b))
+            return tlr::reportError("tlrreport", e);
         runs.push_back(std::move(b));
     }
     tlr::TrendReport t = tlr::analyzeTrend(runs, thresholdPct);
-    int rc = writeOutput(outPath, tlr::renderTrendHtml(t, thresholdPct));
-    if (rc != 0)
-        return rc;
+    if (auto e = tlr::writeFile(outPath,
+                                tlr::renderTrendHtml(t, thresholdPct)))
+        return tlr::reportError("tlrreport", e);
     std::string text = tlr::trendSummaryText(t, thresholdPct);
     std::fwrite(text.data(), 1, text.size(), stderr);
     if (t.schemaMismatch)
-        return 2;
+        return tlr::ExitRejected;
     if (!t.error.empty())
-        return 1;
-    return t.regressed ? 3 : 0;
+        return tlr::ExitUsage;
+    return t.regressed ? tlr::ExitThreshold : tlr::ExitOk;
 }
 
 } // namespace
@@ -215,7 +122,7 @@ int
 main(int argc, char **argv)
 {
     std::string outPath = "-";
-    std::string threshold;
+    double thresholdPct = 20.0;
     bool diffMode = false, trendMode = false;
     std::vector<std::string> operands;
 
@@ -224,51 +131,44 @@ main(int argc, char **argv)
         std::string val;
         if (std::strcmp(arg, "--help") == 0) {
             usage();
-            return 0;
+            return tlr::ExitOk;
         } else if (std::strcmp(arg, "--version") == 0) {
             std::fputs(tlr::versionString("tlrreport").c_str(), stdout);
-            return 0;
+            return tlr::ExitOk;
         } else if (std::strcmp(arg, "--diff") == 0) {
             diffMode = true;
         } else if (std::strcmp(arg, "--trend") == 0) {
             trendMode = true;
-        } else if (parseFlag(arg, "--out", val)) {
+        } else if (tlr::parseFlag(arg, "--out", val)) {
             outPath = val;
-        } else if (parseFlag(arg, "--threshold", val)) {
-            threshold = val;
+        } else if (tlr::parseFlag(arg, "--threshold", val)) {
+            if (!tlr::parsePercent(val, thresholdPct)) {
+                std::fprintf(stderr,
+                             "tlrreport: bad --threshold value '%s'\n",
+                             val.c_str());
+                return tlr::ExitUsage;
+            }
         } else if (arg[0] == '-' && arg[1] == '-') {
             std::fprintf(stderr, "tlrreport: unknown option '%s'\n\n",
                          arg);
             usage();
-            return 1;
+            return tlr::ExitUsage;
         } else {
             operands.push_back(arg);
-        }
-    }
-
-    double thresholdPct = 20.0;
-    if (!threshold.empty()) {
-        char *end = nullptr;
-        thresholdPct = std::strtod(threshold.c_str(), &end);
-        if (end == threshold.c_str() || *end || thresholdPct < 0) {
-            std::fprintf(stderr,
-                         "tlrreport: bad --threshold value '%s'\n",
-                         threshold.c_str());
-            return 1;
         }
     }
 
     if (diffMode && trendMode) {
         std::fprintf(stderr,
                      "tlrreport: --diff and --trend are exclusive\n");
-        return 1;
+        return tlr::ExitUsage;
     }
     if (diffMode) {
         if (operands.size() != 2) {
             std::fprintf(stderr,
                          "tlrreport: --diff needs exactly two runs\n\n");
             usage();
-            return 1;
+            return tlr::ExitUsage;
         }
         return runDiff(operands[0], operands[1], outPath, thresholdPct);
     }
@@ -278,13 +178,13 @@ main(int argc, char **argv)
                 stderr,
                 "tlrreport: --trend needs one ledger directory\n\n");
             usage();
-            return 1;
+            return tlr::ExitUsage;
         }
         return runTrend(operands[0], outPath, thresholdPct);
     }
     if (operands.size() != 1) {
         usage();
-        return 1;
+        return tlr::ExitUsage;
     }
     return runReport(operands[0], outPath);
 }

@@ -14,16 +14,17 @@
  * records per-config wall-clock and events/sec either way.
  *
  * Run with --help for the full flag list. Exit status is 0 on a
- * completed, validated run; 2 on validation failure; 3 on watchdog
- * timeout (livelock).
+ * completed, validated run; 1 on a usage error or a failed artifact
+ * write; 2 on validation failure; 3 on watchdog timeout (livelock).
+ * Artifact writes follow DESIGN.md §15, "Artifact I/O contract".
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,10 +64,7 @@ struct Options
     std::string traceOut;    // Chrome-trace JSON destination
     std::string traceRaw;    // binary trace destination (tlrquery)
     std::string traceFilter; // record filter for --trace-raw
-    bool explainOn = false;  // causal conflict explainer
-    std::string explainMode; // txn (default) | lock | cpu
-    std::string explainDot;  // conflict graph DOT destination
-    std::string explainJson; // explain JSON destination
+    ExplainOutputs explain;  // causal conflict explainer
     bool checkInvariants = false;
     bool metrics = false;    // latency/contention/traffic profiling
     Tick timelineEpoch = 0;  // epoch-sliced telemetry; 0 = off
@@ -218,17 +216,6 @@ buildWorkload(const Options &o, int cpus, LockKind kind)
     return makeRegisteredWorkload(o.workload, wp);
 }
 
-bool
-parseFlag(const char *arg, const char *name, std::string &out)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
 MachineParams
 buildMachineParams(const Options &o, Scheme scheme, int cpus)
 {
@@ -278,20 +265,14 @@ struct ConfigRow
     double wallSec = 0;
 };
 
-/** Write a text artifact to a file, or to stdout when the target is
- *  '-' (the human summary has already been routed to stderr then). */
+/** Write an artifact through the shared checked writer ('-' is
+ *  stdout; the human summary has been routed to stderr then). A
+ *  failed write is fatal: exit 1. */
 void
-writeTextArtifact(const std::string &path, const std::string &text,
-                  const char *what)
+writeArtifact(const std::string &path, const std::string &text)
 {
-    if (path == "-") {
-        std::fwrite(text.data(), 1, text.size(), stdout);
-        return;
-    }
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        fatal("cannot write %s file '%s'", what, path.c_str());
-    out << text;
+    if (ArtifactError e = writeFile(path, text))
+        fatal("%s", e.message.c_str());
 }
 
 void
@@ -321,19 +302,7 @@ writeBenchJson(const Options &o, const std::vector<ConfigRow> &rows)
         doc += buf;
     }
     doc += "]\n";
-    writeTextArtifact(o.benchJson, doc, "bench");
-}
-
-ExplainMode
-parseExplainMode(const std::string &m)
-{
-    if (m.empty() || m == "txn")
-        return ExplainMode::Txn;
-    if (m == "lock")
-        return ExplainMode::Lock;
-    if (m == "cpu")
-        return ExplainMode::Cpu;
-    fatal("unknown explain mode '%s' (txn|lock|cpu)", m.c_str());
+    writeArtifact(o.benchJson, doc);
 }
 
 int
@@ -355,7 +324,7 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
                            o.checkInvariants;
     mp.trace.ringCapacity = wantTrace ? o.ringCapacity : 0;
     mp.trace.echoText = o.trace;
-    mp.explain = o.explainOn;
+    mp.explain = o.explain.on;
 
     if (!o.traceFilter.empty() && o.traceRaw.empty())
         fatal("--trace-filter only thins the --trace-raw file; "
@@ -471,32 +440,14 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
     if (sys.timeline())
         std::fprintf(rpt, "%s", sys.timeline()->report().c_str());
     if (!o.timelineOut.empty())
-        writeTextArtifact(o.timelineOut, sys.timeline()->csv(),
-                          "timeline");
-    if (o.explainOn) {
-        std::fprintf(rpt, "%s",
-                     sys.explainer()
-                         ->report(parseExplainMode(o.explainMode))
-                         .c_str());
-        if (!o.explainDot.empty()) {
-            std::ofstream out(o.explainDot);
-            if (!out)
-                fatal("cannot write dot file '%s'",
-                      o.explainDot.c_str());
-            out << sys.explainer()->dot();
-        }
-        if (!o.explainJson.empty()) {
-            std::ofstream out(o.explainJson);
-            if (!out)
-                fatal("cannot write explain file '%s'",
-                      o.explainJson.c_str());
-            out << sys.explainer()->json();
-        }
+        writeArtifact(o.timelineOut, sys.timeline()->csv());
+    std::string explainText;
+    if (o.explain.on) {
+        if (ArtifactError e = o.explain.write(*sys.explainer(), explainText))
+            fatal("%s", e.message.c_str());
+        std::fprintf(rpt, "%s", explainText.c_str());
     }
     if (!o.traceOut.empty()) {
-        std::ofstream out(o.traceOut);
-        if (!out)
-            fatal("cannot write trace file '%s'", o.traceOut.c_str());
         std::vector<CounterTrack> tracks;
         if (o.metrics)
             tracks = sys.metrics()->counterTracks();
@@ -506,9 +457,11 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
             tracks.insert(tracks.end(), tl.begin(), tl.end());
         }
         std::vector<FlowArrow> flows;
-        if (o.explainOn)
+        if (o.explain.on)
             flows = sys.explainer()->flowArrows();
+        std::ostringstream out;
         lifecycle.exportChromeTrace(out, tracks, flows);
+        writeArtifact(o.traceOut, out.str());
         std::fprintf(stderr,
                      "wrote %zu transaction spans, %zu instants, "
                      "%zu counter tracks, %zu flow arrows to %s\n",
@@ -516,11 +469,15 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
                      lifecycle.instants().size(), tracks.size(),
                      flows.size(), o.traceOut.c_str());
     }
-    if (!o.traceRaw.empty())
+    if (!o.traceRaw.empty()) {
+        // The sink finished the writer when the run drained.
+        if (!rawWriter.error().empty())
+            fatal("--trace-raw: %s", rawWriter.error().c_str());
         std::fprintf(stderr, "wrote %llu raw trace records to %s\n",
                      static_cast<unsigned long long>(
                          rawWriter.written()),
                      o.traceRaw.c_str());
+    }
     if (!o.statsJson.empty() || !o.reportDir.empty()) {
         std::string extra;
         if (o.metrics)
@@ -532,7 +489,7 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
         }
         std::string statsDoc = s.dumpJson(extra);
         if (!o.statsJson.empty())
-            writeTextArtifact(o.statsJson, statsDoc, "stats");
+            writeArtifact(o.statsJson, statsDoc);
         if (!o.reportDir.empty()) {
             BundleMeta bm;
             bm.workload = wl.name;
@@ -552,7 +509,7 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
             bm.maxTicks = o.maxTicks;
             bm.timelineEpoch = o.timelineEpoch;
             bm.metrics = o.metrics;
-            bm.explain = o.explainOn;
+            bm.explain = o.explain.on;
             bm.checkInvariants = o.checkInvariants;
             bm.completed = completed;
             bm.valid = valid;
@@ -564,12 +521,10 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
             art.statsJson = statsDoc;
             if (sys.timeline())
                 art.timelineCsv = sys.timeline()->csv();
-            if (o.explainOn)
-                art.explainText = sys.explainer()->report(
-                    parseExplainMode(o.explainMode));
-            // The raw writer already finished (header back-patched)
-            // when the sink drained at end of run, so the file is
-            // complete and safe to copy.
+            art.explainText = explainText;
+            // The raw writer already finished (header back-patched,
+            // file closed) when the sink drained at end of run, so the
+            // file is complete and safe to copy.
             art.rawTracePath = o.traceRaw;
 
             std::string err;
@@ -603,7 +558,7 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
     if (o.trace || !o.traceOut.empty())
         fatal("--trace/--trace-out need a single (scheme, cpus) "
               "config; narrow --scheme/--cpus");
-    if (o.explainOn || !o.traceRaw.empty())
+    if (o.explain.on || !o.traceRaw.empty())
         fatal("--explain/--trace-raw need a single (scheme, cpus) "
               "config; narrow --scheme/--cpus");
     if (o.timelineEpoch > 0 || o.progress)
@@ -717,7 +672,7 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
                        (i + 1 < merged.size() ? "," : "") + "\n";
             }
             doc += "  }\n}\n";
-            writeTextArtifact(o.statsJson, doc, "stats");
+            writeArtifact(o.statsJson, doc);
         }
     }
     if (!o.benchJson.empty())
@@ -732,9 +687,15 @@ main(int argc, char **argv)
 {
     Options o;
     for (int i = 1; i < argc; ++i) {
-        std::string v;
+        std::string v, err;
         const char *a = argv[i];
-        if (parseFlag(a, "--workload", v)) o.workload = v;
+        if (o.explain.parseFlag(a, err)) {
+            if (!err.empty()) {
+                std::fprintf(stderr, "tlrsim: %s\n", err.c_str());
+                return 1;
+            }
+        }
+        else if (parseFlag(a, "--workload", v)) o.workload = v;
         else if (parseFlag(a, "--scheme", v)) o.scheme = v;
         else if (parseFlag(a, "--protocol", v)) o.protocol = v;
         else if (parseFlag(a, "--cpus", v)) o.cpus = v;
@@ -772,19 +733,6 @@ main(int argc, char **argv)
         else if (parseFlag(a, "--trace-out", v)) o.traceOut = v;
         else if (parseFlag(a, "--trace-raw", v)) o.traceRaw = v;
         else if (parseFlag(a, "--trace-filter", v)) o.traceFilter = v;
-        else if (parseFlag(a, "--explain-dot", v)) {
-            o.explainOn = true;
-            o.explainDot = v;
-        }
-        else if (parseFlag(a, "--explain-json", v)) {
-            o.explainOn = true;
-            o.explainJson = v;
-        }
-        else if (parseFlag(a, "--explain", v)) {
-            o.explainOn = true;
-            o.explainMode = v;
-        }
-        else if (std::strcmp(a, "--explain") == 0) o.explainOn = true;
         else if (parseFlag(a, "--trace-ring", v))
             o.ringCapacity =
                 static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 0));
