@@ -94,12 +94,20 @@ L1Controller::evictLine(CacheLine &line)
         net_.submit({ReqType::WriteBack, line.addr, id_, Timestamp{}, 0});
         ++writeBacksInit_;
     }
-    clearLinkIf(line.addr);
-    if (TLR_TRACE_ARMED(trace_))
-        trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval,
-                     id_, line.addr);
-    line.invalidate();
+    dropLine(line); // an array line: the victim cache holds no copy
     return true;
+}
+
+void
+L1Controller::dropLine(CacheLine &line)
+{
+    const Addr la = line.addr;
+    clearLinkIf(la);
+    if (TLR_TRACE_ARMED(trace_))
+        trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval, id_,
+                     la);
+    line.invalidate();
+    victim_.erase(la);
 }
 
 CacheLine *
@@ -144,48 +152,67 @@ L1Controller::respond(const CacheOp &op, std::uint64_t value)
                    EventPrio::DataResponse);
 }
 
+template <class Visit>
 bool
-L1Controller::hasEarlierContender(Addr *line_out) const
+L1Controller::anyEarlierContender(Visit &&visit)
 {
-    Timestamp mine = hooks_.currentTs();
-    for (const auto &d : deferred_) {
-        if (d.ts.valid && d.ts.earlierThan(mine)) {
-            if (line_out)
-                *line_out = d.line;
+    // The contenders this transaction holds off that carry an earlier
+    // timestamp: its deferred requests (no MSHR), then the deferred
+    // chain waiters of every miss the transaction depends on. Stops at
+    // the first one @p visit accepts.
+    const Timestamp mine = hooks_.currentTs();
+    for (const auto &d : deferred_)
+        if (d.ts.valid && d.ts.earlierThan(mine) &&
+            visit(d.line, d.cpu, d.ts, static_cast<Mshr *>(nullptr)))
             return true;
-        }
-    }
-    for (const auto &[la, m] : mshrs_) {
-        if (!(m.op && m.op->spec) && !(m.queuedOp && m.queuedOp->spec))
+    for (auto &[la, m] : mshrs_) {
+        if (!m.awaitedBySpec())
             continue;
-        for (const Waiter &w : m.waiters) {
-            if (w.deferred && w.ts.valid && w.ts.earlierThan(mine)) {
-                if (line_out)
-                    *line_out = la;
+        for (const Waiter &w : m.waiters)
+            if (w.deferred && w.ts.valid && w.ts.earlierThan(mine) &&
+                visit(la, w.cpu, w.ts, &m))
                 return true;
-            }
-        }
     }
+    return false;
+}
+
+bool
+L1Controller::hasEarlierContender(Addr *line_out)
+{
+    auto found = [line_out](Addr la) {
+        if (line_out)
+            *line_out = la;
+        return true;
+    };
+    if (anyEarlierContender([&](Addr la, CpuId, const Timestamp &,
+                                Mshr *) { return found(la); }))
+        return true;
+    // A relax-ignored probe still counts while the transaction retains
+    // the line it named.
+    const Timestamp mine = hooks_.currentTs();
     for (const auto &[la, hint] : probeHints_) {
         if (!hint.valid || !hint.earlierThan(mine))
             continue;
-        const CacheLine *l = findLineConst(la);
-        bool retained =
-            l && isOwnerState(l->state) && l->inTransaction();
-        if (!retained) {
-            auto mit = mshrs_.find(la);
-            retained = mit != mshrs_.end() &&
-                       ((mit->second.op && mit->second.op->spec) ||
-                        (mit->second.queuedOp &&
-                         mit->second.queuedOp->spec));
-        }
-        if (retained) {
-            if (line_out)
-                *line_out = la;
-            return true;
-        }
+        const CacheLine *l = findLine(la);
+        auto mit = mshrs_.find(la);
+        if ((l && isOwnerState(l->state) && l->inTransaction()) ||
+            (mit != mshrs_.end() && mit->second.awaitedBySpec()))
+            return found(la);
     }
     return false;
+}
+
+void
+L1Controller::forwardProbe(Mshr &mshr, const Timestamp &ts)
+{
+    // Toward the data: to the upstream chain neighbor once its marker
+    // arrived, else held (earliest wins) until it does.
+    if (mshr.markerFrom != invalidCpu) {
+        net_.sendProbe(mshr.markerFrom, {mshr.line, ts, id_});
+        ++probesSent_;
+    } else if (!mshr.pendingProbe || ts.earlierThan(*mshr.pendingProbe)) {
+        mshr.pendingProbe = ts;
+    }
 }
 
 void
@@ -194,54 +221,30 @@ L1Controller::forwardContenderProbes()
     // Push the priority of every held-off higher-priority contender
     // toward the data its chain is rooted at, so upstream holders
     // learn about it (paper Section 3.1.1).
-    for (auto &[line2, m2] : mshrs_) {
-        if (!(m2.op && m2.op->spec) &&
-            !(m2.queuedOp && m2.queuedOp->spec))
-            continue;
-        for (const Waiter &w : m2.waiters) {
-            if (!(w.deferred && w.ts.valid &&
-                  w.ts.earlierThan(hooks_.currentTs())))
-                continue;
-            if (m2.markerFrom != invalidCpu) {
-                net_.sendProbe(m2.markerFrom, {line2, w.ts, id_});
-                ++probesSent_;
-            } else if (!m2.pendingProbe ||
-                       w.ts.earlierThan(*m2.pendingProbe)) {
-                m2.pendingProbe = w.ts;
-            }
-            m2.loseOnArrival = true;
+    anyEarlierContender([this](Addr, CpuId, const Timestamp &ts, Mshr *m) {
+        if (m) {
+            forwardProbe(*m, ts);
+            m->loseOnArrival = true;
         }
-    }
+        return false;
+    });
 }
 
 bool
-L1Controller::detectTwoCycle(Addr *line_out) const
+L1Controller::detectTwoCycle(Addr *line_out)
 {
     // A locally certain deadlock: an earlier-timestamp contender C is
     // queued behind us (so C waits on us) while our upstream neighbor
     // for some outstanding transactional miss is C itself (so we wait
     // on C). Neither can commit; no timer needed.
-    Timestamp mine = hooks_.currentTs();
-    auto waitsOnUs = [&](CpuId c) {
-        for (const auto &d : deferred_)
-            if (d.cpu == c && d.ts.valid && d.ts.earlierThan(mine))
-                return true;
-        for (const auto &[la2, m2] : mshrs_) {
-            (void)la2;
-            if (!(m2.op && m2.op->spec) &&
-                !(m2.queuedOp && m2.queuedOp->spec))
-                continue;
-            for (const Waiter &w : m2.waiters)
-                if (w.cpu == c && w.deferred && w.ts.valid &&
-                    w.ts.earlierThan(mine))
-                    return true;
-        }
-        return false;
-    };
     for (const auto &[la, m] : mshrs_) {
-        if (!(m.op && m.op->spec) && !(m.queuedOp && m.queuedOp->spec))
+        if (!m.awaitedBySpec() || m.markerFrom == invalidCpu)
             continue;
-        if (m.markerFrom != invalidCpu && waitsOnUs(m.markerFrom)) {
+        const CpuId upstream = m.markerFrom;
+        if (anyEarlierContender([upstream](Addr, CpuId c,
+                                           const Timestamp &, Mshr *) {
+                return c == upstream;
+            })) {
             if (line_out)
                 *line_out = la;
             return true;
@@ -258,11 +261,7 @@ L1Controller::maybeArmYield()
     Addr cycleLine = 0;
     if (hooks_.specActive() && outstandingSpecMisses() > 0 &&
         detectTwoCycle(&cycleLine)) {
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohYield,
-                         id_, cycleLine);
-        forwardContenderProbes();
-        hooks_.conflictAbort(cycleLine, AbortReason::ConflictLost);
+        yieldTo(cycleLine);
         return;
     }
     if (yieldArmed_)
@@ -295,36 +294,33 @@ L1Controller::yieldFire(std::uint64_t gen)
     // We have both waited for yieldTimeout and held off a
     // higher-priority contender the whole time: a cyclic wait is the
     // only schedule that cannot drain, so enforce timestamp order.
+    yieldTo(line);
+}
+
+void
+L1Controller::yieldTo(Addr line_addr)
+{
+    // Enforce timestamp order: hand every held-off earlier contender's
+    // priority upstream, then restart.
     if (TLR_TRACE_ARMED(trace_))
         trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohYield, id_,
-                     line);
+                     line_addr);
     forwardContenderProbes();
-    hooks_.conflictAbort(line, AbortReason::ConflictLost);
+    hooks_.conflictAbort(line_addr, AbortReason::ConflictLost);
 }
 
 bool
 L1Controller::yieldBeforeWaiting(Addr la, bool spec)
 {
-    if (!spec || !hooks_.tlrActive())
+    // Strict mode enforces timestamp order the moment a new wait would
+    // begin while a higher-priority contender is held off (paper
+    // Section 3.2). Relaxed mode allows the wait; the deadlock-recovery
+    // timer enforces the order only if the wait persists.
+    if (!spec || !hooks_.tlrActive() || !hooks_.strictTimestamps() ||
+        !hasEarlierContender())
         return false;
-    if (hooks_.strictTimestamps()) {
-        // Strict mode: enforce timestamp order the moment a new wait
-        // would begin while a higher-priority contender is held off
-        // (paper Section 3.2).
-        if (hasEarlierContender()) {
-            if (TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohYield, id_, la);
-            forwardContenderProbes();
-            hooks_.conflictAbort(la, AbortReason::ConflictLost);
-            return true;
-        }
-        return false;
-    }
-    // Relaxed mode: allow the wait; the deadlock-recovery timer
-    // enforces timestamp order only if the wait persists.
-    (void)la;
-    return false;
+    yieldTo(la);
+    return true;
 }
 
 void
@@ -371,116 +367,22 @@ L1Controller::access(const CacheOp &op)
     }
 
     CacheLine *l = findLine(la);
-    unsigned wi = wordIndex(op.addr);
-
-    switch (op.kind) {
-      case CacheOp::Kind::LoadShared:
-      case CacheOp::Kind::LoadExclusive:
-        if (l) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            if (op.spec)
-                markRead(*l);
-            if (op.isLl) {
-                linkValid_ = true;
-                linkLine_ = la;
-                linkAddr_ = op.addr;
-            }
-            if (op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::TxnRead, id_, op.addr,
-                             l->data[wi]);
-            respond(op, l->data[wi]);
-            return;
-        }
-        missIssue(op, op.kind == CacheOp::Kind::LoadExclusive
-                          ? ReqType::GetX
-                          : ReqType::GetS);
-        return;
-
-      case CacheOp::Kind::Store:
-        if (l && isWritableState(l->state)) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            l->data[wi] = op.data;
-            l->state = CohState::Modified;
-            clearLinkIf(la);
-            if (!op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::MemWrite, id_, op.addr,
-                             op.data);
-            respond(op, 0);
-            return;
-        }
-        missIssue(op, l ? ReqType::Upgrade : ReqType::GetX);
-        return;
-
-      case CacheOp::Kind::EnsureExclusive:
-        if (l && isWritableState(l->state)) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            markWrite(*l);
-            // The current word value is returned so speculative
-            // atomics can read-modify-write through the write buffer.
-            if (op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::TxnRead, id_, op.addr,
-                             l->data[wi]);
-            respond(op, l->data[wi]);
-            return;
-        }
-        missIssue(op, l ? ReqType::Upgrade : ReqType::GetX);
-        return;
-
-      case CacheOp::Kind::AtomicSwap:
-      case CacheOp::Kind::AtomicCas:
-      case CacheOp::Kind::AtomicAdd:
-        if (l && isWritableState(l->state)) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            std::uint64_t old = l->data[wi];
-            if (op.kind == CacheOp::Kind::AtomicAdd) {
-                l->data[wi] = old + op.data;
-                l->state = CohState::Modified;
-                clearLinkIf(la);
-            } else if (op.kind == CacheOp::Kind::AtomicSwap ||
-                       old == op.expected) {
-                l->data[wi] = op.data;
-                l->state = CohState::Modified;
-                clearLinkIf(la);
-            }
-            if (!op.spec && l->data[wi] != old &&
-                TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::MemWrite, id_, op.addr,
-                             l->data[wi]);
-            respond(op, old);
-            return;
-        }
-        missIssue(op, l ? ReqType::Upgrade : ReqType::GetX);
-        return;
-
-      case CacheOp::Kind::StoreCond:
-        if (!linkValid(op.addr)) {
-            respond(op, 0);
-            return;
-        }
-        if (l && isWritableState(l->state)) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            l->data[wi] = op.data;
-            l->state = CohState::Modified;
-            linkValid_ = false;
-            if (!op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::MemWrite, id_, op.addr,
-                             op.data);
-            respond(op, 1);
-            return;
-        }
-        missIssue(op, l ? ReqType::Upgrade : ReqType::GetX);
+    if (op.kind == CacheOp::Kind::StoreCond && !linkValid(op.addr)) {
+        applyOp(op, nullptr); // a broken link fails without an access
         return;
     }
+    const bool load = op.kind == CacheOp::Kind::LoadShared ||
+                      op.kind == CacheOp::Kind::LoadExclusive;
+    if (!l || (!load && !isWritableState(l->state))) {
+        // A load misses only on an absent line.
+        missIssue(op, op.kind == CacheOp::Kind::LoadShared ? ReqType::GetS
+                      : l                                  ? ReqType::Upgrade
+                                                           : ReqType::GetX);
+        return;
+    }
+    ++hits_;
+    array_.touch(*l, eq_.now());
+    applyOp(op, l);
 }
 
 //
@@ -509,6 +411,33 @@ L1Controller::winsConflict(const Timestamp &incoming) const
     return !incoming.earlierThan(hooks_.currentTs());
 }
 
+void
+L1Controller::emitDefer(const BusRequest &req, bool relaxed)
+{
+    // The deferral, then the backlog it grows (counting @p req, which
+    // the caller queues next).
+    if (!TLR_TRACE_ARMED(trace_))
+        return;
+    trace_->emit(eq_.now(), TraceComp::L1,
+                 relaxed ? TraceEvent::CohRelaxedDefer : TraceEvent::CohDefer,
+                 id_, req.line, req.requester,
+                 static_cast<std::uint64_t>(req.type), req.ts.clock,
+                 packTsMeta(req.ts));
+    trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohDeferDepth, id_, 0,
+                 deferredDepth() + 1);
+}
+
+void
+L1Controller::emitLose(Addr line_addr, const Timestamp &winner)
+{
+    if (!TLR_TRACE_ARMED(trace_))
+        return;
+    const Timestamp own = hooks_.currentTs();
+    trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohLose, id_,
+                 line_addr, winner.clock, packTsMeta(winner), own.clock,
+                 packTsMeta(own));
+}
+
 std::uint64_t
 L1Controller::deferredDepth() const
 {
@@ -532,10 +461,8 @@ L1Controller::deferredExclusive(Addr line_addr) const
 }
 
 void
-L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
-                               SnoopReply &reply)
+L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req)
 {
-    (void)reply;
     Waiter w{req.requester, req.type, req.ts, false};
     // Tell the new pending owner who its upstream neighbor is so it
     // can forward probes toward the data (paper Section 3.1.1).
@@ -548,15 +475,8 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
     // the block. We cannot make that decision here — the holder may
     // be a multi-block transaction that has to yield even when we
     // would not.
-    if (req.ts.valid) {
-        if (mshr.markerFrom != invalidCpu) {
-            net_.sendProbe(mshr.markerFrom, {mshr.line, req.ts, id_});
-            ++probesSent_;
-        } else if (!mshr.pendingProbe ||
-                   req.ts.earlierThan(*mshr.pendingProbe)) {
-            mshr.pendingProbe = req.ts;
-        }
-    }
+    if (req.ts.valid)
+        forwardProbe(mshr, req.ts);
 
     bool writeIntent =
         mshr.op && (mshr.op->kind == CacheOp::Kind::EnsureExclusive ||
@@ -566,6 +486,7 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
                     mshr.op->kind == CacheOp::Kind::AtomicCas);
     bool readIntent = mshr.op && !writeIntent;
 
+    bool holdsEarlier = false;
     if (mshr.spec && hooks_.specActive() &&
         conflicts(req, readIntent, writeIntent)) {
         hooks_.noteConflictTs(req.ts);
@@ -595,35 +516,13 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
             // The requester waits until we commit.
             w.deferred = true;
             ++defers_;
-            if (TLR_TRACE_ARMED(trace_)) {
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             relaxed ? TraceEvent::CohRelaxedDefer
-                                     : TraceEvent::CohDefer,
-                             id_, mshr.line, req.requester,
-                             static_cast<std::uint64_t>(req.type),
-                             req.ts.clock, packTsMeta(req.ts));
-                // +1: w joins mshr.waiters just below, on either path.
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohDeferDepth, id_, 0,
-                             deferredDepth() + 1);
-            }
-            if (req.ts.valid &&
-                req.ts.earlierThan(hooks_.currentTs())) {
-                mshr.waiters.push_back(w);
-                if (req.type != ReqType::GetS)
-                    mshr.ownershipPassed = true;
-                maybeArmYield();
-                return;
-            }
+            emitDefer(req, relaxed); // w joins mshr.waiters below
+            holdsEarlier =
+                req.ts.valid && req.ts.earlierThan(hooks_.currentTs());
         } else {
             // Strict mode / un-deferrable: step aside immediately.
-            if (TLR_TRACE_ARMED(trace_) && hooks_.tlrActive()) {
-                const Timestamp own = hooks_.currentTs();
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohLose, id_, mshr.line,
-                             req.ts.clock, packTsMeta(req.ts),
-                             own.clock, packTsMeta(own));
-            }
+            if (hooks_.tlrActive())
+                emitLose(mshr.line, req.ts);
             mshr.loseOnArrival = true;
             hooks_.conflictAbort(mshr.line, AbortReason::ConflictLost);
         }
@@ -632,6 +531,8 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
     mshr.waiters.push_back(w);
     if (req.type != ReqType::GetS)
         mshr.ownershipPassed = true;
+    if (holdsEarlier)
+        maybeArmYield();
 }
 
 void
@@ -660,63 +561,51 @@ L1Controller::handleOwnerSnoop(CacheLine &line, const BusRequest &req,
             ++relaxedDefers_;
         }
         if (win) {
-            if (TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             relaxed ? TraceEvent::CohRelaxedDefer
-                                     : TraceEvent::CohDefer,
-                             id_, la, req.requester,
-                             static_cast<std::uint64_t>(req.type),
-                             req.ts.clock, packTsMeta(req.ts));
+            emitDefer(req, relaxed);
             ++defers_;
             deferred_.push_back({la, req.requester, req.type, req.ts});
             pin(line);
-            if (TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohDeferDepth, id_, 0,
-                             deferredDepth());
             net_.sendMarker(req.requester, {la, id_});
             maybeArmYield();
             return; // owner=true already: requester waits on us
         }
-        if (TLR_TRACE_ARMED(trace_) && hooks_.tlrActive() &&
-            isWritableState(line.state)) {
-            const Timestamp own = hooks_.currentTs();
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohLose,
-                         id_, la, req.ts.clock, packTsMeta(req.ts),
-                         own.clock, packTsMeta(own));
-        }
+        if (hooks_.tlrActive() && isWritableState(line.state))
+            emitLose(la, req.ts);
         hooks_.conflictAbort(la, isWritableState(line.state)
                                      ? AbortReason::ConflictLost
                                      : AbortReason::SharedInvalidation);
         // Access bits are cleared now; service the request normally.
         // Note: `line` is still valid — aborting never invalidates it.
     }
+    if (req.type == ReqType::GetS)
+        reply.sharer = true;
+    supplyData(line, req.requester, req.type);
+}
 
+void
+L1Controller::supplyData(CacheLine &line, CpuId to, ReqType type)
+{
+    // The one data-supply path, for snoops and queued waiters alike: a
+    // GetS downgrades M to O and E to S, anything else takes the line.
     DataMsg msg;
-    msg.line = la;
+    msg.line = line.addr;
     msg.data = line.data;
     msg.from = id_;
-    if (req.type == ReqType::GetS) {
+    if (type == ReqType::GetS) {
         msg.grant = Grant::SharedData;
         if (line.state == CohState::Modified)
             line.state = CohState::Owned;
         else if (line.state == CohState::Exclusive)
             line.state = CohState::Shared;
-        reply.sharer = true;
         if (TLR_TRACE_ARMED(trace_))
             trace_->emit(eq_.now(), TraceComp::L1,
-                         TraceEvent::LineDowngrade, id_, la,
+                         TraceEvent::LineDowngrade, id_, line.addr,
                          static_cast<std::uint64_t>(line.state));
     } else {
         msg.grant = Grant::ModifiedData;
-        clearLinkIf(la);
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval,
-                         id_, la);
-        line.invalidate();
-        victim_.erase(la);
+        dropLine(line);
     }
-    net_.sendData(req.requester, msg);
+    net_.sendData(to, msg);
 }
 
 SnoopReply
@@ -732,7 +621,7 @@ L1Controller::snoop(const BusRequest &req)
             // We are the protocol owner even though data has not
             // arrived: record the request in the ownership chain.
             reply.owner = true;
-            handleChainSnoop(m, req, reply);
+            handleChainSnoop(m, req);
             return reply;
         }
         if (!m.isExclusive()) {
@@ -745,13 +634,10 @@ L1Controller::snoop(const BusRequest &req)
             }
             // Pending read overtaken by a write: the arriving data may
             // be used once but must not be cached.
-            {
-                m.invalidateOnArrival = true;
-                if (m.spec && m.op && hooks_.specActive()) {
-                    hooks_.noteConflictTs(req.ts);
-                    hooks_.conflictAbort(la,
-                                         AbortReason::PendingInvalidated);
-                }
+            m.invalidateOnArrival = true;
+            if (m.spec && m.op && hooks_.specActive()) {
+                hooks_.noteConflictTs(req.ts);
+                hooks_.conflictAbort(la, AbortReason::PendingInvalidated);
             }
             return reply;
         }
@@ -778,16 +664,7 @@ L1Controller::snoop(const BusRequest &req)
             // Owned copy: same data as the upgrader's Shared copy; no
             // data response exists to withhold, so an upgrade can
             // never be deferred (paper Section 3.1.2).
-            if (l->inTransaction() && hooks_.specActive()) {
-                hooks_.noteConflictTs(req.ts);
-                hooks_.conflictAbort(la, AbortReason::SharedInvalidation);
-            }
-            clearLinkIf(la);
-            if (TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::LineInval, id_, la);
-            l->invalidate();
-            victim_.erase(la);
+            invalidateCopy(*l, req.ts);
             return reply;
         }
         reply.owner = true;
@@ -796,31 +673,29 @@ L1Controller::snoop(const BusRequest &req)
     }
 
     if (l->state == CohState::Shared) {
-        if (req.type == ReqType::GetS) {
-            reply.sharer = true;
-            return reply;
-        }
         reply.sharer = true;
-        if (l->inTransaction() && hooks_.specActive()) {
-            hooks_.noteConflictTs(req.ts);
-            hooks_.conflictAbort(la, AbortReason::SharedInvalidation);
-        }
-        clearLinkIf(la);
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval,
-                         id_, la);
-        l->invalidate();
-        victim_.erase(la);
+        if (req.type != ReqType::GetS)
+            invalidateCopy(*l, req.ts);
     }
     return reply;
 }
 
 void
-L1Controller::ownRequestOrdered(const BusRequest &req, bool any_owner,
-                                bool any_sharer)
+L1Controller::invalidateCopy(CacheLine &line, const Timestamp &ts)
 {
-    (void)any_owner;
-    (void)any_sharer;
+    // A write takes a copy that has no data response to withhold: a
+    // transaction that accessed it restarts, then the copy goes.
+    if (line.inTransaction() && hooks_.specActive()) {
+        hooks_.noteConflictTs(ts);
+        hooks_.conflictAbort(line.addr, AbortReason::SharedInvalidation);
+    }
+    dropLine(line);
+}
+
+void
+L1Controller::ownRequestOrdered(const BusRequest &req, bool /*any_owner*/,
+                                bool /*any_sharer*/)
+{
     auto it = mshrs_.find(req.line);
     if (it == mshrs_.end())
         panic("l1 %d: ordered request without MSHR line=%#llx", id_,
@@ -840,7 +715,8 @@ L1Controller::ownRequestOrdered(const BusRequest &req, bool any_owner,
                              TraceEvent::LineUpgrade, id_, req.line);
             Mshr done = std::move(m);
             mshrs_.erase(it);
-            finishOp(done, l, l->data);
+            if (done.op)
+                applyOp(*done.op, l);
             if (done.op && done.op->spec)
                 hooks_.specMshrDrained(req.line);
             if (done.queuedOp) {
@@ -864,17 +740,34 @@ L1Controller::ownRequestOrdered(const BusRequest &req, bool any_owner,
 }
 
 void
-L1Controller::finishOp(Mshr &mshr, CacheLine *line, const LineData &data)
+L1Controller::applyOp(const CacheOp &op, CacheLine *line,
+                      const LineData *uncached)
 {
-    if (!mshr.op)
-        return; // dropped by an abort; the fill still installed the line
-    const CacheOp &op = *mshr.op;
-    unsigned wi = wordIndex(op.addr);
+    // The one place each CacheOp kind reads, writes and responds: on a
+    // hit from access(), on a fill, or on data that must not be cached.
+    const unsigned wi = wordIndex(op.addr);
+    const bool writable = line && isWritableState(line->state);
+    const bool load = op.kind == CacheOp::Kind::LoadShared ||
+                      op.kind == CacheOp::Kind::LoadExclusive;
+    if (!load && op.kind != CacheOp::Kind::StoreCond && !writable)
+        panic("l1 %d: %s line %#llx without write permission", id_,
+              line ? cohStateName(line->state) : "uncached",
+              static_cast<unsigned long long>(lineAlign(op.addr)));
+    // A non-speculative write is a MemWrite record when it is traced
+    // (an atomic only when it changed the word).
+    auto write = [&](std::uint64_t v, bool traced) {
+        line->data[wi] = v;
+        line->state = CohState::Modified;
+        clearLinkIf(lineAlign(op.addr));
+        if (traced && !op.spec && TLR_TRACE_ARMED(trace_))
+            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::MemWrite,
+                         id_, op.addr, v);
+    };
 
     switch (op.kind) {
       case CacheOp::Kind::LoadShared:
       case CacheOp::Kind::LoadExclusive: {
-        std::uint64_t v = line ? line->data[wi] : data[wi];
+        std::uint64_t v = line ? line->data[wi] : (*uncached)[wi];
         if (op.spec && line)
             markRead(*line);
         if (op.isLl && line) {
@@ -889,19 +782,12 @@ L1Controller::finishOp(Mshr &mshr, CacheLine *line, const LineData &data)
         return;
       }
       case CacheOp::Kind::Store:
-        if (!line || !isWritableState(line->state))
-            panic("l1 %d: store fill without write permission", id_);
-        line->data[wi] = op.data;
-        line->state = CohState::Modified;
-        clearLinkIf(lineAlign(op.addr));
-        if (!op.spec && TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::MemWrite,
-                         id_, op.addr, op.data);
+        write(op.data, true);
         respond(op, 0);
         return;
       case CacheOp::Kind::EnsureExclusive:
-        if (!line || !isWritableState(line->state))
-            panic("l1 %d: ensureX fill without write permission", id_);
+        // The current word value is returned so speculative atomics
+        // can read-modify-write through the write buffer.
         markWrite(*line);
         if (op.spec && TLR_TRACE_ARMED(trace_))
             trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::TxnRead,
@@ -911,34 +797,18 @@ L1Controller::finishOp(Mshr &mshr, CacheLine *line, const LineData &data)
       case CacheOp::Kind::AtomicSwap:
       case CacheOp::Kind::AtomicCas:
       case CacheOp::Kind::AtomicAdd: {
-        if (!line || !isWritableState(line->state))
-            panic("l1 %d: atomic fill without write permission", id_);
-        std::uint64_t old = line->data[wi];
-        if (op.kind == CacheOp::Kind::AtomicAdd) {
-            line->data[wi] = old + op.data;
-            line->state = CohState::Modified;
-            clearLinkIf(lineAlign(op.addr));
-        } else if (op.kind == CacheOp::Kind::AtomicSwap ||
-                   old == op.expected) {
-            line->data[wi] = op.data;
-            line->state = CohState::Modified;
-            clearLinkIf(lineAlign(op.addr));
-        }
-        if (!op.spec && line->data[wi] != old && TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::MemWrite,
-                         id_, op.addr, line->data[wi]);
+        const std::uint64_t old = line->data[wi];
+        const std::uint64_t v =
+            op.kind == CacheOp::Kind::AtomicAdd ? old + op.data : op.data;
+        if (op.kind != CacheOp::Kind::AtomicCas || old == op.expected)
+            write(v, v != old);
         respond(op, old);
         return;
       }
       case CacheOp::Kind::StoreCond:
-        if (line && isWritableState(line->state) && linkValid(op.addr)) {
-            line->data[wi] = op.data;
-            line->state = CohState::Modified;
-            linkValid_ = false;
-            if (!op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::MemWrite, id_, op.addr,
-                             op.data);
+        // The link names this line, so the write breaks it.
+        if (writable && linkValid(op.addr)) {
+            write(op.data, true);
             respond(op, 1);
         } else {
             respond(op, 0);
@@ -957,11 +827,14 @@ L1Controller::dataResponse(const DataMsg &msg)
     Mshr m = std::move(it->second);
     mshrs_.erase(it);
 
+    // An op dropped by an abort completes nothing; the fill still
+    // installs the line.
     CacheLine *l = nullptr;
     if (msg.grant == Grant::DontInstall || m.invalidateOnArrival) {
         // Use the data for the pending op only (ordered before the
         // overtaking write), do not cache it.
-        finishOp(m, nullptr, msg.data);
+        if (m.op)
+            applyOp(*m.op, nullptr, &msg.data);
     } else {
         CohState st = CohState::Shared;
         if (msg.grant == Grant::ExclusiveData && !m.downgradeToShared)
@@ -969,8 +842,8 @@ L1Controller::dataResponse(const DataMsg &msg)
         else if (msg.grant == Grant::ModifiedData)
             st = CohState::Modified;
         l = installLine(msg.line, msg.data, st);
-        if (!m.loseOnArrival)
-            finishOp(m, l, msg.data);
+        if (m.op && !m.loseOnArrival)
+            applyOp(*m.op, l);
     }
 
     if (m.op && m.op->spec)
@@ -1010,8 +883,13 @@ void
 L1Controller::serviceWaiter(const Waiter &w, Addr line_addr,
                             ServiceCause cause)
 {
+    // A pinned line still owes data to every request queued on it. A
+    // queued GetS that found it in E left it in S; E is clean, so that
+    // copy equals memory and serves the rest of the drain (DESIGN.md
+    // §6 item 10).
     CacheLine *l = findLine(line_addr);
-    if (!l || !isOwnerState(l->state))
+    if (!l || !(isOwnerState(l->state) ||
+                (l->pinned && l->state == CohState::Shared)))
         panic("l1 %d: servicing waiter for line %#llx without owned data",
               id_, static_cast<unsigned long long>(line_addr));
     if (TLR_TRACE_ARMED(trace_))
@@ -1019,30 +897,7 @@ L1Controller::serviceWaiter(const Waiter &w, Addr line_addr,
                      id_, line_addr,
                      static_cast<std::uint64_t>(w.cpu),
                      static_cast<std::uint64_t>(cause));
-    DataMsg msg;
-    msg.line = line_addr;
-    msg.data = l->data;
-    msg.from = id_;
-    if (w.type == ReqType::GetS) {
-        msg.grant = Grant::SharedData;
-        if (l->state == CohState::Modified)
-            l->state = CohState::Owned;
-        else if (l->state == CohState::Exclusive)
-            l->state = CohState::Shared;
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1,
-                         TraceEvent::LineDowngrade, id_, line_addr,
-                         static_cast<std::uint64_t>(l->state));
-    } else {
-        msg.grant = Grant::ModifiedData;
-        clearLinkIf(line_addr);
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval,
-                         id_, line_addr);
-        l->invalidate();
-        victim_.erase(line_addr);
-    }
-    net_.sendData(w.cpu, msg);
+    supplyData(*l, w.cpu, w.type);
 }
 
 //
@@ -1084,28 +939,8 @@ L1Controller::probe(const ProbeMsg &msg)
         holdsDeferred |= isOwnerState(l->state) && l->inTransaction();
     if (holdsDeferred && hooks_.specActive() && hooks_.tlrActive()) {
         hooks_.noteConflictTs(msg.ts);
-        if (!winsConflict(msg.ts)) {
-            if (!hooks_.strictTimestamps()) {
-                // Remember the contender's priority: if our wait (or
-                // a future one) persists, the recovery timer enforces
-                // timestamp order; if we commit first, servicing the
-                // deferred queue satisfies the contender anyway.
-                auto it = probeHints_.find(la);
-                if (it == probeHints_.end() ||
-                    msg.ts.earlierThan(it->second))
-                    probeHints_[la] = msg.ts;
-                maybeArmYield();
-                return;
-            }
-            if (TLR_TRACE_ARMED(trace_)) {
-                const Timestamp own = hooks_.currentTs();
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohLose, id_, la, msg.ts.clock,
-                             packTsMeta(msg.ts), own.clock,
-                             packTsMeta(own));
-            }
-            hooks_.conflictAbort(la, AbortReason::ProbeLost);
-        }
+        if (!winsConflict(msg.ts))
+            loseOrHint(la, msg.ts, nullptr);
         return;
     }
 
@@ -1114,38 +949,35 @@ L1Controller::probe(const ProbeMsg &msg)
     if (it != mshrs_.end() && it->second.ordered &&
         it->second.isExclusive()) {
         Mshr &m = it->second;
-        if (m.markerFrom != invalidCpu) {
-            net_.sendProbe(m.markerFrom, {la, msg.ts, id_});
-            ++probesSent_;
-        } else if (!m.pendingProbe || msg.ts.earlierThan(*m.pendingProbe)) {
-            m.pendingProbe = msg.ts;
-        }
+        forwardProbe(m, msg.ts);
         if (m.spec && m.op && hooks_.specActive() &&
             !winsConflict(msg.ts)) {
             hooks_.noteConflictTs(msg.ts);
-            if (hooks_.tlrActive() && !hooks_.strictTimestamps()) {
-                // Remember the contender's priority for the recovery
-                // timer; it was already forwarded up the chain above.
-                auto it = probeHints_.find(la);
-                if (it == probeHints_.end() ||
-                    msg.ts.earlierThan(it->second))
-                    probeHints_[la] = msg.ts;
-                maybeArmYield();
-                return;
-            }
-            if (TLR_TRACE_ARMED(trace_)) {
-                const Timestamp own = hooks_.currentTs();
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohLose, id_, la, msg.ts.clock,
-                             packTsMeta(msg.ts), own.clock,
-                             packTsMeta(own));
-            }
-            m.loseOnArrival = true;
-            hooks_.conflictAbort(la, AbortReason::ProbeLost);
+            loseOrHint(la, msg.ts, &m);
         }
         return;
     }
     // Otherwise stale: the chain already drained.
+}
+
+void
+L1Controller::loseOrHint(Addr la, const Timestamp &ts, Mshr *mshr)
+{
+    if (hooks_.tlrActive() && !hooks_.strictTimestamps()) {
+        // Remember the contender's priority: if our wait (or a future
+        // one) persists, the recovery timer enforces timestamp order;
+        // if we commit first, servicing the deferred queue satisfies
+        // the contender anyway.
+        auto it = probeHints_.find(la);
+        if (it == probeHints_.end() || ts.earlierThan(it->second))
+            probeHints_[la] = ts;
+        maybeArmYield();
+        return;
+    }
+    emitLose(la, ts);
+    if (mshr)
+        mshr->loseOnArrival = true;
+    hooks_.conflictAbort(la, AbortReason::ProbeLost);
 }
 
 //
@@ -1293,24 +1125,10 @@ L1Controller::outstandingSpecMisses() const
     unsigned n = 0;
     for (const auto &[la, m] : mshrs_) {
         (void)la;
-        // A queued re-issued op on an orphaned miss is still a real
-        // dependency: the transaction cannot finish until it fills.
-        if ((m.op && m.op->spec) || (m.queuedOp && m.queuedOp->spec))
+        if (m.awaitedBySpec())
             ++n;
     }
     return n;
-}
-
-bool
-L1Controller::deferredHasEarlierThan(const Timestamp &ts) const
-{
-    for (const auto &d : deferred_) {
-        if (!d.ts.valid)
-            continue; // un-timestamped requests have lowest priority
-        if (d.ts.earlierThan(ts))
-            return true;
-    }
-    return false;
 }
 
 bool

@@ -87,12 +87,6 @@ class L1Controller : public Snooper
 
     unsigned outstandingSpecMisses() const;
 
-    /** Any deferred request with priority over @p ts? Used before
-     *  issuing a new transactional miss: acquiring another block while
-     *  holding off a higher-priority contender risks deadlock, so the
-     *  engine must abort first (paper Section 3.2). */
-    bool deferredHasEarlierThan(const Timestamp &ts) const;
-
     bool linkValid(Addr addr) const;
 
     /** Add a resident line to the transactional read set. Used for the
@@ -165,6 +159,12 @@ class L1Controller : public Snooper
         {
             return type == ReqType::GetX || type == ReqType::Upgrade;
         }
+        /** A speculative op, or one re-issued after a restart, depends
+         *  on this miss: the transaction cannot finish until it fills. */
+        bool awaitedBySpec() const
+        {
+            return (op && op->spec) || (queuedOp && queuedOp->spec);
+        }
     };
 
     struct DeferredReq
@@ -181,19 +181,28 @@ class L1Controller : public Snooper
     CacheLine *installLine(Addr line_addr, const LineData &data,
                            CohState state);
     bool evictLine(CacheLine &line);
+    void dropLine(CacheLine &line);
+    void invalidateCopy(CacheLine &line, const Timestamp &ts);
     void respond(const CacheOp &op, std::uint64_t value);
-    void finishOp(Mshr &mshr, CacheLine *line, const LineData &data);
+    void applyOp(const CacheOp &op, CacheLine *line,
+                 const LineData *uncached = nullptr);
     void missIssue(const CacheOp &op, ReqType type);
     bool yieldBeforeWaiting(Addr line_addr, bool spec);
-    bool hasEarlierContender(Addr *line_out = nullptr) const;
-    bool detectTwoCycle(Addr *line_out = nullptr) const;
+    template <class Visit> bool anyEarlierContender(Visit &&visit);
+    bool hasEarlierContender(Addr *line_out = nullptr);
+    bool detectTwoCycle(Addr *line_out = nullptr);
     void forwardContenderProbes();
+    void forwardProbe(Mshr &mshr, const Timestamp &ts);
     void maybeArmYield();
     void yieldFire(std::uint64_t gen);
-    void handleChainSnoop(Mshr &mshr, const BusRequest &req,
-                          SnoopReply &reply);
+    void yieldTo(Addr line_addr);
+    void emitDefer(const BusRequest &req, bool relaxed);
+    void emitLose(Addr line_addr, const Timestamp &winner);
+    void loseOrHint(Addr line_addr, const Timestamp &ts, Mshr *mshr);
+    void handleChainSnoop(Mshr &mshr, const BusRequest &req);
     void handleOwnerSnoop(CacheLine &line, const BusRequest &req,
                           SnoopReply &reply);
+    void supplyData(CacheLine &line, CpuId to, ReqType type);
     void serviceWaiter(const Waiter &w, Addr line_addr,
                        ServiceCause cause = ServiceCause::Chain);
     void serviceDeferredQueue(bool at_commit);

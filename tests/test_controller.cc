@@ -1,7 +1,7 @@
 /**
  * @file
  * L1Controller unit tests with scriptable speculation hooks: drive
- * the controller directly (two controllers on a real broadcast
+ * the controller directly (three controllers on a real broadcast
  * interconnect + memory) and check the TLR decision logic — deferral
  * vs restart by timestamp, un-timestamped request policy, strict-mode
  * enforcement, deferred-queue service at commit/abort — without the
@@ -79,17 +79,20 @@ struct Rig
     BackingStore store{1 << 16};
     BroadcastInterconnect net{eq, stats, InterconnectParams{}};
     MemoryController mem{eq, stats, net, store, MemParams{}};
-    FakeHooks hooks0, hooks1;
+    FakeHooks hooks0, hooks1, hooks2;
     L1Controller l1a{eq, stats, 0, L1Params{}, net, mem, hooks0};
     L1Controller l1b{eq, stats, 1, L1Params{}, net, mem, hooks1};
+    L1Controller l1c{eq, stats, 2, L1Params{}, net, mem, hooks2};
 
     Rig()
     {
         net.setMemory(&mem);
         net.addSnooper(&l1a);
         net.addSnooper(&l1b);
+        net.addSnooper(&l1c);
         hooks0.l1 = &l1a;
         hooks1.l1 = &l1b;
+        hooks2.l1 = &l1c;
     }
 
     void
@@ -112,6 +115,23 @@ struct Rig
 };
 
 constexpr Addr lineA = 0x4000;
+
+/** cpu0 reads lineA into E inside a transaction, then sets its write
+ *  bit (a speculative store's permission check): the clean-exclusive
+ *  holder state whose abort drain must serve several queued requests. */
+void
+holdCleanExclusive(Rig &r)
+{
+    r.store.writeWord(lineA, 7); // pre-transactional value
+    r.hooks0.spec = r.hooks0.tlr = true;
+    r.hooks0.ts = Timestamp::make(1, 0);
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineA, 0, true);
+    r.run();
+    ASSERT_EQ(r.l1a.lineState(lineA), CohState::Exclusive);
+    r.access(r.l1a, CacheOp::Kind::EnsureExclusive, lineA, 0, true);
+    r.run();
+    ASSERT_EQ(r.l1a.lineState(lineA), CohState::Exclusive);
+}
 
 } // namespace
 
@@ -247,6 +267,60 @@ TEST(Controller, AbortServicesDeferredWithPreTransactionalData)
     r.run();
     ASSERT_EQ(r.hooks1.completions.size(), 1u);
     EXPECT_EQ(r.hooks1.completions[0].second, 7u);
+}
+
+TEST(Controller, AbortDrainServesTwoReadersFromCleanExclusive)
+{
+    Rig r;
+    holdCleanExclusive(r);
+    // Two later-timestamp readers queue behind the write bit.
+    r.hooks1.spec = r.hooks1.tlr = true;
+    r.hooks1.ts = Timestamp::make(4, 1);
+    r.access(r.l1b, CacheOp::Kind::LoadShared, lineA, 0, true);
+    r.hooks2.spec = r.hooks2.tlr = true;
+    r.hooks2.ts = Timestamp::make(5, 2);
+    r.access(r.l1c, CacheOp::Kind::LoadShared, lineA, 0, true);
+    r.eq.run(2'000);
+    ASSERT_EQ(r.l1a.deferredCount(), 2u);
+    // The first GetS of the drain leaves the line in S; the second is
+    // served from that clean copy instead of finding no owned data.
+    r.hooks0.spec = false;
+    r.l1a.abortTransaction();
+    r.run();
+    ASSERT_EQ(r.hooks1.completions.size(), 1u);
+    ASSERT_EQ(r.hooks2.completions.size(), 1u);
+    EXPECT_EQ(r.hooks1.completions[0].second, 7u);
+    EXPECT_EQ(r.hooks2.completions[0].second, 7u);
+    EXPECT_EQ(r.l1a.lineState(lineA), CohState::Shared);
+    EXPECT_EQ(r.l1b.lineState(lineA), CohState::Shared);
+    EXPECT_EQ(r.l1c.lineState(lineA), CohState::Shared);
+}
+
+TEST(Controller, AbortDrainServesReadThenWriteFromCleanExclusive)
+{
+    Rig r;
+    holdCleanExclusive(r);
+    // A plain read, then a later-timestamp transactional write, queue
+    // behind the write bit: [GetS, GetX] against the E line.
+    r.access(r.l1b, CacheOp::Kind::LoadShared, lineA);
+    r.hooks2.spec = r.hooks2.tlr = true;
+    r.hooks2.ts = Timestamp::make(5, 2);
+    r.access(r.l1c, CacheOp::Kind::EnsureExclusive, lineA, 0, true);
+    r.eq.run(2'000);
+    ASSERT_EQ(r.l1a.deferredCount(), 2u);
+    r.hooks0.spec = false;
+    r.l1a.abortTransaction();
+    r.run();
+    // The reader sees the pre-transactional value once; the write was
+    // ordered after it, so its copy is not kept. The writer ends up
+    // the only holder.
+    ASSERT_EQ(r.hooks1.completions.size(), 1u);
+    ASSERT_EQ(r.hooks2.completions.size(), 1u);
+    EXPECT_EQ(r.hooks1.completions[0].second, 7u);
+    EXPECT_EQ(r.hooks2.completions[0].second, 7u);
+    EXPECT_EQ(r.l1a.lineState(lineA), CohState::Invalid);
+    EXPECT_EQ(r.l1b.lineState(lineA), CohState::Invalid);
+    EXPECT_EQ(r.l1c.lineState(lineA), CohState::Modified);
 }
 
 TEST(Controller, LinkRegisterClearedByRemoteWrite)

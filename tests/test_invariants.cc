@@ -6,6 +6,10 @@
  * validate and report zero violations; a combination the workload
  * refuses (octree accepts test&test&set locks only) must end in its
  * clean fatal error instead.
+ *
+ * A 16-CPU arm runs the deferral-heavy workloads under TLR at seeds
+ * that queue two or more requests behind one clean-exclusive holder,
+ * the drain state an 8-CPU matrix never reaches.
  */
 
 #include <gtest/gtest.h>
@@ -39,6 +43,26 @@ constexpr SchemeCase kSchemes[] = {
 constexpr int kCpus = 8;
 constexpr std::uint64_t kOps = 32;
 
+/** Runs @p wl on @p protocol with every checker armed and requires a
+ *  completed, valid, violation-free run. */
+void
+expectCleanRun(const Workload &wl, Scheme scheme, Protocol protocol,
+               int cpus, std::uint64_t seed)
+{
+    MachineParams mp;
+    mp.numCpus = cpus;
+    mp.protocol = protocol;
+    mp.seed = seed;
+    mp.spec = schemeSpecConfig(scheme);
+    mp.trace.checkInvariants = true;
+    mp.trace.keepGoingOnViolation = true;
+    RunStats r = runWorkload(mp, wl);
+    EXPECT_TRUE(r.completed);
+    EXPECT_TRUE(r.valid);
+    EXPECT_GT(r.traceRecords, 0u);
+    EXPECT_EQ(r.invariantViolations, 0u);
+}
+
 /** Runs the whole matrix on @p protocol. */
 void
 runMatrix(Protocol protocol)
@@ -63,17 +87,7 @@ runMatrix(Protocol protocol)
                 ++refused;
                 continue;
             }
-            MachineParams mp;
-            mp.numCpus = kCpus;
-            mp.protocol = protocol;
-            mp.spec = schemeSpecConfig(sc.scheme);
-            mp.trace.checkInvariants = true;
-            mp.trace.keepGoingOnViolation = true;
-            RunStats r = runWorkload(mp, wl);
-            EXPECT_TRUE(r.completed);
-            EXPECT_TRUE(r.valid);
-            EXPECT_GT(r.traceRecords, 0u);
-            EXPECT_EQ(r.invariantViolations, 0u);
+            expectCleanRun(wl, sc.scheme, protocol, kCpus, wp.seed);
             ++runs;
         }
     }
@@ -84,8 +98,52 @@ runMatrix(Protocol protocol)
                                std::size(kSchemes)));
 }
 
+/** 16-CPU cases: bank seed 1 and partition seeds 2 and 4 each queue
+ *  two or more requests behind a clean-exclusive holder that then
+ *  drains (bank/tlr on both protocols, partition/tlr/broadcast at 4,
+ *  partition/tlr-strict/directory at 2). */
+struct WideCase
+{
+    const char *workload;
+    std::uint64_t seed;
+};
+
+constexpr WideCase kWideCases[] = {
+    {"bank", 1},
+    {"partition", 2},
+    {"partition", 4},
+    {"reverse-writers", 1},
+    {"ycsb-a", 1},
+};
+
+constexpr int kWideCpus = 16;
+constexpr std::uint64_t kWideOps = 32;
+
+void
+runWide(Protocol protocol)
+{
+    for (const WideCase &c : kWideCases) {
+        for (Scheme scheme : {Scheme::BaseSleTlr, Scheme::TlrStrictTs}) {
+            SCOPED_TRACE(std::string(c.workload) + "/" +
+                         schemeName(scheme) + "/seed " +
+                         std::to_string(c.seed));
+            WorkloadParams wp;
+            wp.numCpus = kWideCpus;
+            wp.ops = kWideOps;
+            wp.seed = c.seed;
+            wp.lockKind = schemeLockKind(scheme);
+            expectCleanRun(makeRegisteredWorkload(c.workload, wp), scheme,
+                           protocol, kWideCpus, c.seed);
+        }
+    }
+}
+
 } // namespace
 
 TEST(InvariantMatrix, Broadcast) { runMatrix(Protocol::Broadcast); }
 
 TEST(InvariantMatrix, Directory) { runMatrix(Protocol::Directory); }
+
+TEST(InvariantMatrix, SixteenCpusBroadcast) { runWide(Protocol::Broadcast); }
+
+TEST(InvariantMatrix, SixteenCpusDirectory) { runWide(Protocol::Directory); }
