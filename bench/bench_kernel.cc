@@ -18,7 +18,10 @@
  *      aborts, and the L1 lines looked up to clear access and pin
  *      bits (a deterministic count, hard-gated in CI: the tracked
  *      clear visits a transaction's footprint, where a full scan
- *      would visit every one of the L1's 2048 lines).
+ *      would visit every one of the L1's 2048 lines); and the same
+ *      run under --check-invariants, counting the lines the
+ *      boundary-clear oracle scanned (hard-gated at zero: a clean
+ *      boundary is checked by one compare of the array's count).
  *
  * Usage: bench_kernel [--json=FILE] [--quick]
  * CI runs this and uploads the JSON; compare events/sec across
@@ -128,9 +131,10 @@ fullSim(int reps, double *events_per_sec, double *sims_per_sec,
     *events_out = events;
 }
 
-// 6. Boundary work: one ycsb-a TLR run, summed over every L1.
+// 6. Boundary work: one ycsb-a TLR run, summed over every L1; with
+// @p checked the invariant checkers and boundary-clear oracle are on.
 L1Controller::BoundaryWork
-boundaryWork(std::uint64_t ops)
+boundaryWork(std::uint64_t ops, bool checked)
 {
     WorkloadParams wp;
     wp.numCpus = 8;
@@ -139,13 +143,16 @@ boundaryWork(std::uint64_t ops)
     MachineParams mp;
     mp.numCpus = 8;
     mp.spec = schemeSpecConfig(Scheme::BaseSleTlr);
+    mp.trace.checkInvariants = checked;
     System sys(mp);
     installWorkload(sys, makeRegisteredWorkload("ycsb-a", wp));
     sys.run();
     L1Controller::BoundaryWork total;
     for (int i = 0; i < sys.numCpus(); ++i) {
-        total.boundaries += sys.l1(i).boundaryWork().boundaries;
-        total.linesVisited += sys.l1(i).boundaryWork().linesVisited;
+        const L1Controller::BoundaryWork &w = sys.l1(i).boundaryWork();
+        total.boundaries += w.boundaries;
+        total.linesVisited += w.linesVisited;
+        total.oracleLinesScanned += w.oracleLinesScanned;
     }
     return total;
 }
@@ -215,7 +222,9 @@ main(int argc, char **argv)
     std::vector<SweepTask> tasks = sweepTasks(sweepOps);
     double sweepSerial = sweepWall(tasks, 1);
     double sweepJobs4 = sweepWall(tasks, 4);
-    L1Controller::BoundaryWork bw = boundaryWork(quick ? 256 : 1024);
+    const std::uint64_t boundaryOps = quick ? 256 : 1024;
+    L1Controller::BoundaryWork bw = boundaryWork(boundaryOps, false);
+    L1Controller::BoundaryWork checked = boundaryWork(boundaryOps, true);
     double linesPerBoundary =
         bw.boundaries ? static_cast<double>(bw.linesVisited) /
                             static_cast<double>(bw.boundaries)
@@ -240,6 +249,8 @@ main(int argc, char **argv)
         "  \"ycsb_a_boundaries\": %llu,\n"
         "  \"ycsb_a_boundary_lines\": %llu,\n"
         "  \"ycsb_a_lines_per_boundary\": %.3f,\n"
+        "  \"ycsb_a_checked_boundaries\": %llu,\n"
+        "  \"ycsb_a_oracle_lines_scanned\": %llu,\n"
         "  \"host_threads\": %u\n"
         "}\n",
         statsSchemaVersion, evSmall, evLarge,
@@ -250,7 +261,10 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(ks.inlineEvents), sweepSerial,
         sweepJobs4, static_cast<unsigned long long>(bw.boundaries),
         static_cast<unsigned long long>(bw.linesVisited),
-        linesPerBoundary, defaultJobs());
+        linesPerBoundary,
+        static_cast<unsigned long long>(checked.boundaries),
+        static_cast<unsigned long long>(checked.oracleLinesScanned),
+        defaultJobs());
     std::fputs(buf, stdout);
     if (!jsonFile.empty()) {
         std::ofstream out(jsonFile);

@@ -58,7 +58,7 @@ L1Controller::findLine(Addr line_addr)
         // eviction cascade; otherwise operate on the line in place.
         CacheLine *slot = array_.allocateSlot(line_addr);
         if (slot && !isValidState(slot->state)) {
-            *slot = *v;
+            array_.assign(*slot, *v);
             victim_.erase(line_addr);
             return slot;
         }
@@ -80,8 +80,7 @@ L1Controller::evictLine(CacheLine &line)
         CacheLine copy = line;
         if (victim_.insert(copy)) {
             ++victimInserts_;
-            line.state = CohState::Invalid;
-            line.clearAccess();
+            array_.invalidate(line);
             return true;
         }
         // Victim cache full of transactional lines: the resource
@@ -106,7 +105,7 @@ L1Controller::dropLine(CacheLine &line)
     if (TLR_TRACE_ARMED(trace_))
         trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval, id_,
                      la);
-    line.invalidate();
+    array_.invalidate(line);
     victim_.erase(la);
 }
 
@@ -127,11 +126,10 @@ L1Controller::installLine(Addr line_addr, const LineData &data,
     }
     if (isValidState(slot->state))
         evictLine(*slot);
+    array_.invalidate(*slot);
     slot->addr = line_addr;
     slot->state = state;
     slot->data = data;
-    slot->clearAccess();
-    slot->pinned = false;
     array_.touch(*slot, eq_.now());
     if (TLR_TRACE_ARMED(trace_))
         trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInstall,
@@ -541,7 +539,7 @@ L1Controller::handleOwnerSnoop(CacheLine &line, const BusRequest &req,
 {
     Addr la = req.line;
     if (hooks_.specActive() &&
-        conflicts(req, line.accessRead, line.accessWrite)) {
+        conflicts(req, line.accessRead(), line.accessWrite())) {
         hooks_.noteConflictTs(req.ts);
         // Only an exclusively owned block (M/E) is retainable (paper
         // Fig. 3). An Owned copy implies we may ourselves need an
@@ -858,7 +856,7 @@ L1Controller::dataResponse(const DataMsg &msg)
     bool keepDeferring = hooks_.specActive() && m.spec && m.op &&
                          !m.loseOnArrival && l &&
                          isWritableState(l->state) &&
-                         (l->accessRead || l->accessWrite);
+                         l->inTransaction();
     for (const Waiter &w : m.waiters) {
         if (keepDeferring) {
             deferred_.push_back({msg.line, w.cpu, w.type, w.ts});
@@ -889,7 +887,7 @@ L1Controller::serviceWaiter(const Waiter &w, Addr line_addr,
     // §6 item 10).
     CacheLine *l = findLine(line_addr);
     if (!l || !(isOwnerState(l->state) ||
-                (l->pinned && l->state == CohState::Shared)))
+                (l->pinned() && l->state == CohState::Shared)))
         panic("l1 %d: servicing waiter for line %#llx without owned data",
               id_, static_cast<unsigned long long>(line_addr));
     if (TLR_TRACE_ARMED(trace_))
@@ -1025,7 +1023,7 @@ L1Controller::markRead(CacheLine &line)
 {
     if (!line.inTransaction())
         markedLines_.push_back(line.addr);
-    line.accessRead = true;
+    array_.markRead(line);
 }
 
 void
@@ -1033,15 +1031,15 @@ L1Controller::markWrite(CacheLine &line)
 {
     if (!line.inTransaction())
         markedLines_.push_back(line.addr);
-    line.accessWrite = true;
+    array_.markWrite(line);
 }
 
 void
 L1Controller::pin(CacheLine &line)
 {
-    if (!line.pinned)
+    if (!line.pinned())
         pinnedLines_.push_back(line.addr);
-    line.pinned = true;
+    array_.pin(line);
 }
 
 void
@@ -1053,10 +1051,10 @@ L1Controller::clearAccessBits()
     boundaryWork_.linesVisited += markedLines_.size();
     for (Addr la : markedLines_)
         if (CacheLine *l = array_.find(la))
-            l->clearAccess();
+            array_.clearAccess(*l);
     markedLines_.clear();
     for (auto &v : victim_.entries())
-        v.clearAccess();
+        array_.clearAccess(v);
 }
 
 void
@@ -1065,30 +1063,34 @@ L1Controller::clearPins()
     boundaryWork_.linesVisited += pinnedLines_.size();
     for (Addr la : pinnedLines_)
         if (CacheLine *l = array_.find(la))
-            l->pinned = false;
+            array_.unpin(*l);
     pinnedLines_.clear();
     for (auto &v : victim_.entries())
-        v.pinned = false;
+        array_.unpin(v);
     if (invariants_)
         checkCleared();
 }
 
 void
-L1Controller::checkCleared() const
+L1Controller::checkCleared()
 {
-    // Oracle for the tracked clears: a full scan of the array, once
-    // per boundary after both clears (the drain between them sets no
-    // bits). Any survivor means a set site bypassed
-    // markRead/markWrite/pin.
+    // Oracle for the tracked clears, once per boundary after both
+    // clears (the drain between them sets no bits). The array counts
+    // every bit write, independently of the address lists, so a clean
+    // boundary costs one compare; the scan runs only to name the
+    // survivors, which mean a set site bypassed markRead/markWrite/pin.
+    if (array_.flaggedLines() == 0)
+        return;
+    boundaryWork_.oracleLinesScanned += array_.lines().size();
     for (const CacheLine &l : array_.lines()) {
-        if (!(l.inTransaction() || l.pinned) || !isValidState(l.state))
+        if (!l.flagged() || !isValidState(l.state))
             continue;
         invariants_->violation(
             "boundary-clear", eq_.now(),
             strfmt("l1 %d: line %#llx keeps read=%d write=%d pin=%d "
                    "after the boundary clear",
                    id_, static_cast<unsigned long long>(l.addr),
-                   l.accessRead, l.accessWrite, l.pinned));
+                   l.accessRead(), l.accessWrite(), l.pinned()));
     }
 }
 

@@ -67,9 +67,9 @@ class L1Controller : public Snooper
     void setTrace(TraceSink *sink) { trace_ = sink; }
 
     /** Arm the boundary-clear oracle (--check-invariants): at the end
-     *  of every commit or abort, scan the whole array and report any
-     *  valid line that kept an access or pin bit as a violation
-     *  through @p ctx. */
+     *  of every commit or abort, check that the array counts no line
+     *  with an access or pin bit, and report each valid line that kept
+     *  one as a violation through @p ctx. */
     void setInvariantContext(CheckerContext *ctx) { invariants_ = ctx; }
 
     /** @{ Engine-facing request interface. */
@@ -121,15 +121,23 @@ class L1Controller : public Snooper
     std::uint64_t peekWord(Addr addr) const;
 
     /** Host-side work done at transaction boundaries: commits plus
-     *  aborts, and the tracked lines looked up to clear their access
-     *  and pin bits. Deterministic, but deliberately not a StatSet
-     *  counter so stats dumps do not change. */
+     *  aborts, the tracked lines looked up to clear their access and
+     *  pin bits, and the array lines the boundary-clear oracle scanned
+     *  (zero unless a boundary left a bit set). Deterministic, but
+     *  deliberately not a StatSet counter so stats dumps do not
+     *  change. */
     struct BoundaryWork
     {
         std::uint64_t boundaries = 0;
         std::uint64_t linesVisited = 0;
+        std::uint64_t oracleLinesScanned = 0;
     };
     const BoundaryWork &boundaryWork() const { return boundaryWork_; }
+
+    /** The L1 data array. Tests read its flagged-line count, and set
+     *  bits through it behind the controller's lists to show that the
+     *  boundary-clear oracle catches them. */
+    CacheArray &array() { return array_; }
 
   private:
     struct Waiter
@@ -215,7 +223,7 @@ class L1Controller : public Snooper
     void pin(CacheLine &line);
     void clearAccessBits();
     void clearPins();
-    void checkCleared() const;
+    void checkCleared();
     bool winsConflict(const Timestamp &incoming) const;
     /** @} */
 

@@ -63,55 +63,60 @@ RawTraceWriter::close()
     }
 }
 
-std::string
-RawTraceReader::open(const std::string &path)
+ArtifactError
+RawTraceReader::load(const std::string &path)
 {
     close();
+    // A file that cannot be opened, read or sized is an I/O failure
+    // (exit 1); one that reads but is not a whole trace is rejected
+    // content (exit 2).
+    auto fail = [&](int code, std::string msg) {
+        close();
+        return ArtifactError{code, std::move(msg)};
+    };
     file_ = std::fopen(path.c_str(), "rb");
     if (!file_)
-        return "cannot open '" + path + "'";
+        return fail(ExitUsage, "cannot open '" + path +
+                                   "': " + std::strerror(errno));
     if (std::fread(&header_, sizeof(header_), 1, file_) != 1) {
-        close();
-        return "'" + path + "' is too short for a trace header";
+        if (std::ferror(file_))
+            return fail(ExitUsage, "cannot read '" + path +
+                                       "': " + std::strerror(errno));
+        return fail(ExitRejected,
+                    "'" + path + "' is too short for a trace header");
     }
     static const char magic[8] = {'T', 'L', 'R', 'T', 'R', 'A', 'C', 'E'};
-    if (std::memcmp(header_.magic, magic, sizeof(magic)) != 0) {
-        close();
-        return "'" + path + "' is not a TLR raw trace (bad magic)";
-    }
-    if (header_.version != 1) {
-        close();
-        return "'" + path + "' has unsupported trace version " +
-               std::to_string(header_.version);
-    }
-    if (header_.recordSize != sizeof(TraceRecord)) {
-        close();
-        return "'" + path + "' was written with record size " +
-               std::to_string(header_.recordSize) + ", expected " +
-               std::to_string(sizeof(TraceRecord));
-    }
+    if (std::memcmp(header_.magic, magic, sizeof(magic)) != 0)
+        return fail(ExitRejected,
+                    "'" + path + "' is not a TLR raw trace (bad magic)");
+    if (header_.version != 1)
+        return fail(ExitRejected,
+                    "'" + path + "' has unsupported trace version " +
+                        std::to_string(header_.version));
+    if (header_.recordSize != sizeof(TraceRecord))
+        return fail(ExitRejected,
+                    "'" + path + "' was written with record size " +
+                        std::to_string(header_.recordSize) +
+                        ", expected " + std::to_string(sizeof(TraceRecord)));
     // The header's count must account for every byte: a short file
     // would silently replay a prefix, and extra bytes mean the count
     // was never back-patched or the file was appended to.
-    if (std::fseek(file_, 0, SEEK_END) != 0) {
-        close();
-        return "cannot seek in '" + path + "'";
-    }
+    if (std::fseek(file_, 0, SEEK_END) != 0)
+        return fail(ExitUsage, "cannot seek in '" + path + "'");
     const long size = std::ftell(file_);
     const long body = size - static_cast<long>(sizeof(header_));
     const auto rec = static_cast<long>(sizeof(TraceRecord));
     if (body < 0 || body % rec != 0 ||
-        static_cast<std::uint64_t>(body / rec) != header_.recordCount) {
-        close();
-        return "'" + path + "' is " + std::to_string(size) +
-               " bytes but its header says " +
-               std::to_string(header_.recordCount) + " records (" +
-               std::to_string(sizeof(header_)) + " + count x " +
-               std::to_string(sizeof(TraceRecord)) +
-               " bytes): truncated or trailing data";
-    }
+        static_cast<std::uint64_t>(body / rec) != header_.recordCount)
+        return fail(ExitRejected,
+                    "'" + path + "' is " + std::to_string(size) +
+                        " bytes but its header says " +
+                        std::to_string(header_.recordCount) +
+                        " records (" + std::to_string(sizeof(header_)) +
+                        " + count x " + std::to_string(sizeof(TraceRecord)) +
+                        " bytes): truncated or trailing data");
     path_ = path;
-    return "";
+    return {};
 }
 
 void

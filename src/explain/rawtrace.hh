@@ -35,6 +35,7 @@
 #include <string>
 
 #include "sim/build_info.hh"
+#include "sim/fileio.hh"
 #include "trace/filter.hh"
 #include "trace/sink.hh"
 
@@ -91,10 +92,15 @@ class RawTraceReader
   public:
     ~RawTraceReader() { close(); }
 
-    /** @return empty string on success, else an error description
-     *         (missing file, bad magic, version/record-size skew, a
-     *         size that disagrees with the header's record count). */
-    std::string open(const std::string &path);
+    /** Open @p path and check its header. The error carries the
+     *  tools' exit code (DESIGN.md §15): ExitUsage when the file cannot
+     *  be opened, read or sized, ExitRejected for a short header, bad
+     *  magic, version/record-size skew, or a size that disagrees with
+     *  the header's record count. */
+    [[nodiscard]] ArtifactError load(const std::string &path);
+    /** load() without the exit code. @return empty string on success,
+     *  else the error description. */
+    std::string open(const std::string &path) { return load(path).message; }
     void close();
 
     const RawTraceHeader &header() const { return header_; }

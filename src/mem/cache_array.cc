@@ -1,5 +1,7 @@
 #include "mem/cache_array.hh"
 
+#include <functional>
+
 #include "sim/logging.hh"
 
 namespace tlr
@@ -57,12 +59,43 @@ CacheArray::allocateSlot(Addr line_addr)
         CacheLine &l = base[w];
         if (!isValidState(l.state))
             return &l;
-        if (l.pinned)
+        if (l.pinned())
             continue;
         if (!victim || l.lastUse < victim->lastUse)
             victim = &l;
     }
     return victim;
+}
+
+void
+CacheArray::assign(CacheLine &dst, const CacheLine &src)
+{
+    dst.addr = src.addr;
+    dst.state = src.state;
+    dst.data = src.data;
+    dst.lastUse = src.lastUse;
+    setBits(dst, src.read_, src.write_, src.pinned_);
+}
+
+void
+CacheArray::setBits(CacheLine &l, bool read, bool write, bool pinned)
+{
+    const bool was = l.flagged();
+    l.read_ = read;
+    l.write_ = write;
+    l.pinned_ = pinned;
+    const CacheLine *first = lines_.data();
+    if (was == l.flagged() ||
+        std::less<const CacheLine *>()(&l, first) ||
+        !std::less<const CacheLine *>()(&l, first + lines_.size()))
+        return;
+    // Clearing a set bit with nothing counted means some copy or
+    // write reached the bits without coming through here.
+    if (was && flagged_ == 0)
+        panic("cache array: line %#llx clears a bit that was never "
+              "counted",
+              static_cast<unsigned long long>(l.addr));
+    flagged_ = was ? flagged_ - 1 : flagged_ + 1;
 }
 
 } // namespace tlr

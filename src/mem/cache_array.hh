@@ -46,8 +46,34 @@ class CacheArray
     unsigned numSets() const { return numSets_; }
     unsigned numWays() const { return ways_; }
 
+    /** @{ The counted writers: the only code that sets or clears a
+     *  line's access and pin bits. @p l may also be a victim-cache
+     *  entry, which is written the same way but not counted: the
+     *  count covers this array's slots only. */
+    void markRead(CacheLine &l) { setBits(l, true, l.write_, l.pinned_); }
+    void markWrite(CacheLine &l) { setBits(l, l.read_, true, l.pinned_); }
+    void pin(CacheLine &l) { setBits(l, l.read_, l.write_, true); }
+    void unpin(CacheLine &l) { setBits(l, l.read_, l.write_, false); }
+    void clearAccess(CacheLine &l) { setBits(l, false, false, l.pinned_); }
+    /** The line leaves the cache: Invalid, every bit clear. */
+    void
+    invalidate(CacheLine &l)
+    {
+        l.state = CohState::Invalid;
+        setBits(l, false, false, false);
+    }
+    /** Copy @p src, bits included, into @p dst. */
+    void assign(CacheLine &dst, const CacheLine &src);
+    /** @} */
+
+    /** Slots with any access or pin bit set, kept by the writers
+     *  above: zero after every correct transaction boundary, so the
+     *  boundary-clear oracle checks it in O(1). */
+    std::uint64_t flaggedLines() const { return flagged_; }
+
     /** Every slot, valid or not, in set-major order. Only the
-     *  --check-invariants boundary-clear oracle walks the whole array;
+     *  boundary-clear oracle walks the whole array, and only when
+     *  flaggedLines() is not zero, to name the lines that kept a bit;
      *  the hot paths look lines up with find(). */
     const std::vector<CacheLine> &lines() const { return lines_; }
 
@@ -58,9 +84,13 @@ class CacheArray
                                      (numSets_ - 1));
     }
 
+    /** Write all three bits of @p l and keep flagged_ in step. */
+    void setBits(CacheLine &l, bool read, bool write, bool pinned);
+
     unsigned ways_;
     unsigned numSets_;
     std::vector<CacheLine> lines_; // numSets_ * ways_, set-major
+    std::uint64_t flagged_ = 0;
 };
 
 } // namespace tlr

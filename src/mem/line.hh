@@ -62,33 +62,35 @@ const char *cohStateName(CohState s);
  * "1 bit per block to track data accessed within transaction"
  * (we keep separate read/write bits so read-read sharing is not a
  * conflict, per the data-conflict definition in the paper's Section 1).
+ *
+ * The access and pin bits are private: only CacheArray's counted
+ * writers set or clear them, so the array's count of lines holding
+ * any of them cannot miss a write (DESIGN.md §8).
  */
-struct CacheLine
+class CacheLine
 {
+  public:
     Addr addr = 0;                 ///< line-aligned address (tag)
     CohState state = CohState::Invalid;
     LineData data{};
-    bool accessRead = false;       ///< speculatively read in transaction
-    bool accessWrite = false;      ///< speculatively written in transaction
     std::uint64_t lastUse = 0;     ///< LRU timestamp
-    bool pinned = false;           ///< ineligible for eviction (MSHR/defer)
 
-    bool inTransaction() const { return accessRead || accessWrite; }
+    /** Speculatively read in the transaction. */
+    bool accessRead() const { return read_; }
+    /** Speculatively written in the transaction. */
+    bool accessWrite() const { return write_; }
+    /** Ineligible for eviction (MSHR/defer). */
+    bool pinned() const { return pinned_; }
+    bool inTransaction() const { return read_ || write_; }
+    /** Any access or pin bit set: what CacheArray counts. */
+    bool flagged() const { return read_ || write_ || pinned_; }
 
-    void
-    clearAccess()
-    {
-        accessRead = false;
-        accessWrite = false;
-    }
+  private:
+    friend class CacheArray;
 
-    void
-    invalidate()
-    {
-        state = CohState::Invalid;
-        clearAccess();
-        pinned = false;
-    }
+    bool read_ = false;
+    bool write_ = false;
+    bool pinned_ = false;
 };
 
 } // namespace tlr

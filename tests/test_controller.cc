@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "coherence/interconnect.hh"
@@ -17,6 +19,7 @@
 #include "coherence/memory_controller.hh"
 #include "mem/backing_store.hh"
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "trace/checkers.hh"
 
@@ -115,6 +118,7 @@ struct Rig
 };
 
 constexpr Addr lineA = 0x4000;
+constexpr Addr lineB = lineA + 2 * lineBytes;
 
 /** cpu0 reads lineA into E inside a transaction, then sets its write
  *  bit (a speculative store's permission check): the clean-exclusive
@@ -360,7 +364,6 @@ TEST(Controller, BoundaryClearVisitsOnlyTheFootprint)
     ctx.stats = &r.stats;
     ctx.keepGoing = true;
     r.l1a.setInvariantContext(&ctx);
-    constexpr Addr lineB = lineA + 2 * lineBytes;
 
     // cpu0 reads two lines transactionally; cpu1's later-timestamp
     // write to one of them is deferred, pinning that line.
@@ -395,11 +398,188 @@ TEST(Controller, BoundaryClearVisitsOnlyTheFootprint)
     EXPECT_EQ(r.l1a.deferredCount(), 0u);
     EXPECT_EQ(r.l1b.peekWord(lineB), 9u);
 
-    // An abort with an empty footprint visits nothing; the oracle's
-    // full scans never found a survivor, and a clean run adds no
-    // violation counter at all.
+    // An abort with an empty footprint visits nothing. The oracle
+    // found the array's count at zero after both boundaries, so it
+    // never scanned the array, and a clean run adds no violation
+    // counter at all.
     r.l1a.abortTransaction();
     EXPECT_EQ(r.l1a.boundaryWork().boundaries, 2u);
     EXPECT_EQ(r.l1a.boundaryWork().linesVisited, 3u);
+    EXPECT_EQ(r.l1a.boundaryWork().oracleLinesScanned, 0u);
+    EXPECT_EQ(r.l1a.array().flaggedLines(), 0u);
     EXPECT_EQ(r.stats.all().count("trace.violations.boundary-clear"), 0u);
+}
+
+namespace
+{
+
+/** Arm cpu0's boundary-clear oracle; a violation panics. */
+void
+armOracle(Rig &r, CheckerContext &ctx)
+{
+    ctx.stats = &r.stats;
+    r.l1a.setInvariantContext(&ctx);
+}
+
+/** After a boundary: cpu0's array counts no access or pin bit, so the
+ *  oracle never scanned, and no violation was recorded. */
+void
+expectCleared(Rig &r)
+{
+    EXPECT_EQ(r.l1a.array().flaggedLines(), 0u);
+    EXPECT_EQ(r.l1a.boundaryWork().oracleLinesScanned, 0u);
+    EXPECT_EQ(r.stats.all().count("trace.violations.boundary-clear"), 0u);
+}
+
+/** cpu0 reads lineA and writes lineB inside a transaction. */
+void
+markTwoLines(Rig &r)
+{
+    r.hooks0.spec = r.hooks0.tlr = true;
+    r.hooks0.ts = Timestamp::make(1, 0);
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineA, 0, true);
+    r.access(r.l1a, CacheOp::Kind::EnsureExclusive, lineB, 0, true);
+    r.run();
+    ASSERT_EQ(r.l1a.array().flaggedLines(), 2u);
+}
+
+} // namespace
+
+TEST(Controller, BoundaryCountIsExactAtCommitAbortAndTheirDrains)
+{
+    // With a drain, a later-timestamp write queued on each marked line
+    // pins both; the drain serves the writers and the pin clear
+    // uncounts them.
+    for (bool commit : {true, false}) {
+        for (bool drain : {false, true}) {
+            SCOPED_TRACE(std::string(commit ? "commit" : "abort") +
+                         (drain ? " with drain" : ""));
+            Rig r;
+            CheckerContext ctx;
+            armOracle(r, ctx);
+            markTwoLines(r);
+            if (drain) {
+                r.hooks1.spec = r.hooks1.tlr = true;
+                r.hooks1.ts = Timestamp::make(4, 1);
+                r.access(r.l1b, CacheOp::Kind::EnsureExclusive, lineB, 0,
+                         true);
+                r.hooks2.spec = r.hooks2.tlr = true;
+                r.hooks2.ts = Timestamp::make(5, 2);
+                r.access(r.l1c, CacheOp::Kind::EnsureExclusive, lineA, 0,
+                         true);
+                r.eq.run(2'000);
+                ASSERT_EQ(r.l1a.deferredCount(), 2u);
+                ASSERT_TRUE(r.l1a.array().find(lineA)->pinned());
+                ASSERT_TRUE(r.l1a.array().find(lineB)->pinned());
+            }
+            r.hooks0.spec = false;
+            if (commit)
+                r.l1a.commitTransaction(WriteBuffer(4));
+            else
+                r.l1a.abortTransaction();
+            r.run();
+            EXPECT_EQ(r.l1a.boundaryWork().boundaries, 1u);
+            EXPECT_EQ(r.hooks1.completions.size(), drain ? 1u : 0u);
+            EXPECT_EQ(r.hooks2.completions.size(), drain ? 1u : 0u);
+            expectCleared(r);
+        }
+    }
+}
+
+TEST(Controller, BoundaryCountFollowsALineThroughTheVictimCache)
+{
+    // lineA and four more lines share one set of the 4-way array.
+    Rig r;
+    CheckerContext ctx;
+    armOracle(r, ctx);
+    const Addr setSpan = L1Params{}.sizeBytes / L1Params{}.ways;
+    r.hooks0.spec = r.hooks0.tlr = true;
+    r.hooks0.ts = Timestamp::make(1, 0);
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineA, 0, true);
+    r.run();
+    for (Addr k = 1; k <= 3; ++k)
+        r.access(r.l1a, CacheOp::Kind::LoadShared, lineA + k * setSpan);
+    r.run();
+    ASSERT_EQ(r.l1a.array().flaggedLines(), 1u);
+
+    // A fifth line evicts the least recently used one, lineA, into
+    // the victim cache: the array no longer holds its read bit.
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineA + 4 * setSpan);
+    r.run();
+    EXPECT_EQ(r.l1a.array().find(lineA), nullptr);
+    EXPECT_EQ(r.l1a.array().flaggedLines(), 0u);
+
+    // A remote write frees a way; the next access to lineA moves it
+    // back from the victim cache with its read bit.
+    r.access(r.l1b, CacheOp::Kind::Store, lineA + setSpan, 1);
+    r.run();
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineA, 0, true);
+    r.run();
+    ASSERT_NE(r.l1a.array().find(lineA), nullptr);
+    EXPECT_TRUE(r.l1a.array().find(lineA)->accessRead());
+    EXPECT_EQ(r.l1a.array().flaggedLines(), 1u);
+
+    r.hooks0.spec = false;
+    r.l1a.commitTransaction(WriteBuffer(4));
+    r.run();
+    expectCleared(r);
+}
+
+TEST(Controller, BoundaryCountDropsAnInvalidatedMarkedLine)
+{
+    // With speculation already off, a remote write takes lineB while
+    // its write bit is still set: dropping the line uncounts it before
+    // the boundary.
+    Rig r;
+    CheckerContext ctx;
+    armOracle(r, ctx);
+    markTwoLines(r);
+    r.hooks0.spec = false;
+    r.access(r.l1b, CacheOp::Kind::Store, lineB, 3);
+    r.run();
+    EXPECT_EQ(r.l1a.lineState(lineB), CohState::Invalid);
+    EXPECT_EQ(r.l1a.array().flaggedLines(), 1u);
+    r.l1a.abortTransaction();
+    expectCleared(r);
+}
+
+TEST(Controller, BoundaryOracleNamesABitTheListsMissed)
+{
+    // Each counted writer sets a bit on a resident line behind the
+    // controller's address lists, so the boundary clear leaves it
+    // set. The count must see it and the scan must name the line.
+    struct Injection
+    {
+        void (CacheArray::*write)(CacheLine &);
+        const char *bits;
+    };
+    for (const Injection &inj :
+         {Injection{&CacheArray::markRead, "read=1 write=0 pin=0"},
+          Injection{&CacheArray::markWrite, "read=0 write=1 pin=0"},
+          Injection{&CacheArray::pin, "read=0 write=0 pin=1"}}) {
+        SCOPED_TRACE(inj.bits);
+        Rig r;
+        CheckerContext ctx;
+        armOracle(r, ctx);
+        r.access(r.l1a, CacheOp::Kind::LoadShared, lineB);
+        r.run();
+        CacheLine *l = r.l1a.array().find(lineB);
+        ASSERT_NE(l, nullptr);
+        (r.l1a.array().*inj.write)(*l);
+        ASSERT_EQ(r.l1a.array().flaggedLines(), 1u);
+        try {
+            r.l1a.abortTransaction();
+            ADD_FAILURE() << "the oracle missed the unlisted bit";
+        } catch (const std::logic_error &e) {
+            const std::string want =
+                strfmt("l1 0: line %#llx keeps %s after the boundary "
+                       "clear",
+                       static_cast<unsigned long long>(lineB), inj.bits);
+            EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(r.stats.get("trace", "violations.boundary-clear"), 1u);
+        EXPECT_EQ(r.l1a.boundaryWork().oracleLinesScanned,
+                  r.l1a.array().lines().size());
+    }
 }

@@ -3,7 +3,9 @@
  * Invariant matrix: every registered workload under every scheme and
  * both coherence protocols, at small size, with the online checkers
  * and the L1 boundary-clear oracle armed. Every run must complete,
- * validate and report zero violations; a combination the workload
+ * validate and report zero violations, and every L1's count of lines
+ * holding an access or pin bit must be zero at each boundary, so the
+ * oracle never falls back to its scan; a combination the workload
  * refuses (octree accepts test&test&set locks only) must end in its
  * clean fatal error instead.
  *
@@ -18,6 +20,7 @@
 #include <string>
 
 #include "harness/runner.hh"
+#include "harness/system.hh"
 #include "harness/scheme.hh"
 #include "workloads/registry.hh"
 
@@ -44,7 +47,8 @@ constexpr int kCpus = 8;
 constexpr std::uint64_t kOps = 32;
 
 /** Runs @p wl on @p protocol with every checker armed and requires a
- *  completed, valid, violation-free run. */
+ *  completed, valid, violation-free run whose boundary-clear oracle
+ *  never scanned the array. */
 void
 expectCleanRun(const Workload &wl, Scheme scheme, Protocol protocol,
                int cpus, std::uint64_t seed)
@@ -56,11 +60,17 @@ expectCleanRun(const Workload &wl, Scheme scheme, Protocol protocol,
     mp.spec = schemeSpecConfig(scheme);
     mp.trace.checkInvariants = true;
     mp.trace.keepGoingOnViolation = true;
-    RunStats r = runWorkload(mp, wl);
-    EXPECT_TRUE(r.completed);
-    EXPECT_TRUE(r.valid);
-    EXPECT_GT(r.traceRecords, 0u);
-    EXPECT_EQ(r.invariantViolations, 0u);
+    System sys(mp);
+    installWorkload(sys, wl);
+    EXPECT_TRUE(sys.run());
+    EXPECT_TRUE(wl.validate ? wl.validate(sys) : true);
+    EXPECT_GT(sys.traceSink().emitted(), 0u);
+    EXPECT_EQ(sys.stats().get("trace", "violations"), 0u);
+    for (int i = 0; i < cpus; ++i) {
+        EXPECT_EQ(sys.l1(i).boundaryWork().oracleLinesScanned, 0u)
+            << "l1 " << i;
+        EXPECT_EQ(sys.l1(i).array().flaggedLines(), 0u) << "l1 " << i;
+    }
 }
 
 /** Runs the whole matrix on @p protocol. */

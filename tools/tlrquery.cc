@@ -17,7 +17,8 @@
  * filter. Output is deterministic: the same file and flags always
  * produce byte-identical output (CI relies on this). Exit codes and
  * what the trace reader rejects: DESIGN.md §15, "Artifact I/O
- * contract" (a trace that cannot be opened is exit 2 too).
+ * contract" (a trace that cannot be opened is exit 1, like any file
+ * that cannot be read).
  */
 
 #include <cstdio>
@@ -191,9 +192,9 @@ main(int argc, char **argv)
     }
 
     RawTraceReader reader;
-    std::string err = reader.open(o.file);
-    if (!err.empty())
-        return reportError("tlrquery", {ExitRejected, err});
+    if (ArtifactError e = reader.load(o.file))
+        return reportError("tlrquery", e);
+    std::string err;
 
     std::string buffer;
     auto emit = [&](const std::string &line) { buffer += line; };
