@@ -68,9 +68,11 @@ L1Controller::findLine(Addr line_addr)
 }
 
 const CacheLine *
-L1Controller::findLineConst(Addr line_addr) const
+L1Controller::peekLine(Addr line_addr) const
 {
-    return const_cast<L1Controller *>(this)->findLine(line_addr);
+    if (const CacheLine *l = array_.find(line_addr))
+        return l;
+    return victim_.find(line_addr);
 }
 
 bool
@@ -1136,7 +1138,7 @@ L1Controller::outstandingSpecMisses() const
 bool
 L1Controller::upgradeValid(Addr line) const
 {
-    const CacheLine *l = findLineConst(line);
+    const CacheLine *l = peekLine(line);
     return l && (l->state == CohState::Shared ||
                  l->state == CohState::Owned);
 }
@@ -1178,7 +1180,7 @@ L1Controller::clearLinkIf(Addr line_addr)
 CohState
 L1Controller::lineState(Addr addr) const
 {
-    const CacheLine *l = findLineConst(lineAlign(addr));
+    const CacheLine *l = peekLine(lineAlign(addr));
     return l ? l->state : CohState::Invalid;
 }
 
@@ -1211,7 +1213,7 @@ L1Controller::debugState() const
 std::uint64_t
 L1Controller::peekWord(Addr addr) const
 {
-    const CacheLine *l = findLineConst(lineAlign(addr));
+    const CacheLine *l = peekLine(lineAlign(addr));
     return l ? l->data[wordIndex(addr)] : 0;
 }
 

@@ -185,7 +185,9 @@ class L1Controller : public Snooper
 
     /** @{ internal helpers */
     CacheLine *findLine(Addr line_addr);
-    const CacheLine *findLineConst(Addr line_addr) const;
+    /** The array's or the victim cache's copy, never promoted: the
+     *  const queries must not move LRU or victim-cache state. */
+    const CacheLine *peekLine(Addr line_addr) const;
     CacheLine *installLine(Addr line_addr, const LineData &data,
                            CohState state);
     bool evictLine(CacheLine &line);

@@ -112,9 +112,9 @@ Explainer::report(ExplainMode mode) const
     std::uint64_t commits = 0, fallbacks = 0, restarts = 0;
     for (const TxnInstance &t : path_.instances()) {
         restarts += t.restarts;
-        if (t.outcome == "commit")
+        if (t.ended == TxnEnd::Commit)
             ++commits;
-        else if (t.outcome.rfind("fallback:", 0) == 0)
+        else if (t.ended == TxnEnd::Fallback)
             ++fallbacks;
     }
     std::uint64_t serviced = 0;
@@ -204,7 +204,7 @@ Explainer::report(ExplainMode mode) const
                     static_cast<unsigned long long>(t->deferTicks),
                     static_cast<unsigned long long>(t->missTicks),
                     static_cast<unsigned long long>(t->redoTicks),
-                    t->restarts, t->outcome.c_str());
+                    t->restarts, t->outcome().c_str());
         if (t->restarts > 0 && t->lastRestartWinner >= 0) {
             s += strfmt("   restarted %ux, last lost to cpu%d\n",
                         t->restarts, t->lastRestartWinner);
@@ -284,7 +284,7 @@ Explainer::json() const
                     static_cast<unsigned long long>(t.deferTicks),
                     static_cast<unsigned long long>(t.missTicks),
                     static_cast<unsigned long long>(t.redoTicks),
-                    t.restarts, t.outcome.c_str(),
+                    t.restarts, t.outcome().c_str(),
                     i + 1 < inst.size() ? "," : "");
     }
     s += "  ],\n";

@@ -64,14 +64,16 @@ class Explainer : public TraceListener
 {
   public:
     explicit Explainer(unsigned topK = 10)
-        : graph_(waits_), path_(waits_), topK_(topK) {}
+        : graph_(waits_), path_(waits_, txns_), topK_(topK) {}
     Explainer(const Explainer &) = delete;
     Explainer &operator=(const Explainer &) = delete;
 
-    /** The graph updates the shared WaitState; the path reads it. */
+    /** The explainer updates the shared TxnState and the graph the
+     *  shared WaitState; the path reads both. */
     void
     onRecord(const TraceRecord &r) override
     {
+        txns_.onRecord(r);
         graph_.onRecord(r);
         path_.onRecord(r);
     }
@@ -80,7 +82,7 @@ class Explainer : public TraceListener
     finish(Tick now) override
     {
         graph_.finish(now);
-        path_.finish(now);
+        path_.finish(txns_.finish(now));
         finalTick_ = now;
     }
 
@@ -101,6 +103,7 @@ class Explainer : public TraceListener
     std::vector<const TxnInstance *> ranked() const;
 
     WaitState waits_;
+    TxnState txns_;
     ConflictGraphBuilder graph_;
     CriticalPathAccountant path_;
     unsigned topK_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "trace/txn_state.hh"
+
 namespace tlr
 {
 
@@ -46,19 +48,13 @@ ConflictGraphBuilder::onRecord(const TraceRecord &r)
         lines_[r.addr].waitTicks += e.span();
         return;
       }
-      case TraceEvent::TxnRestart: {
-        RestartEdge e;
-        e.loser = r.cpu;
-        Timestamp winner = unpackTs(0, r.a3);
-        e.winner = winner.valid ? winner.cpu : std::int16_t{-1};
-        e.line = r.addr;
-        e.tick = r.tick;
-        e.reason = r.a0;
-        restarts_.push_back(e);
+      case TraceEvent::TxnRestart:
+        // Every restart record, with or without its instance's elide
+        // in the stream: a filtered trace may have dropped that.
+        restarts_.push_back({r.cpu, restartWinner(r), r.addr, r.tick});
         if (r.addr != 0)
             ++lines_[r.addr].restarts;
         return;
-      }
       default:
         return;
     }

@@ -45,7 +45,6 @@ struct RestartEdge
     std::int16_t winner = -1; ///< -1 when the trace had no contender
     Addr line = 0;
     Tick tick = 0;
-    std::uint64_t reason = 0; ///< AbortReason
 };
 
 /** A wait cycle observed among concurrently-pending deferrals. */

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 
-#include "coherence/l1_controller.hh"
-
 namespace tlr
 {
 
 void
-CriticalPathAccountant::classify(OpenInstance &o)
+CriticalPathAccountant::classify(TxnInstance &t, const Intervals &o)
 {
-    TxnInstance &t = o.inst;
     const Tick begin = t.begin, end = t.end;
     if (end <= begin)
         return;
@@ -26,7 +23,7 @@ CriticalPathAccountant::classify(OpenInstance &o)
     };
     cut(o.defer);
     cut(o.miss);
-    const Tick lastRestart = std::clamp(o.lastRestartTick, begin, end);
+    const Tick lastRestart = std::clamp(t.lastRestart, begin, end);
     if (t.restarts > 0)
         bounds.push_back(lastRestart);
     std::sort(bounds.begin(), bounds.end());
@@ -65,13 +62,12 @@ CriticalPathAccountant::classify(OpenInstance &o)
 }
 
 void
-CriticalPathAccountant::closeInstance(std::int16_t cpu, Tick end,
-                                      std::string outcome)
+CriticalPathAccountant::close(const Txn &t)
 {
-    auto it = open_.find(cpu);
-    if (it == open_.end())
-        return;
-    OpenInstance &o = it->second;
+    const std::int16_t cpu = t.cpu;
+    Intervals o;
+    if (auto node = open_.extract(t.serial))
+        o = std::move(node.mapped());
 
     // Attribute still-open wait intervals up to the close tick, once:
     // their later service is not charged again. Ordinals follow record
@@ -80,72 +76,36 @@ CriticalPathAccountant::closeInstance(std::int16_t cpu, Tick end,
     for (const auto &[key, w] : waits_.open()) {
         if (w.waiter != cpu || w.ordinal < charged)
             continue;
-        o.defer.push_back({w.start, end, w.owner, key.first});
+        o.defer.push_back({w.start, t.end, w.owner, key.first});
     }
     charged = waits_.opened();
     auto mit = missOpen_.lower_bound({cpu, 0});
     while (mit != missOpen_.end() && mit->first.first == cpu) {
-        o.miss.push_back({mit->second, end});
+        o.miss.push_back({mit->second, t.end});
         mit = missOpen_.erase(mit);
     }
 
-    o.inst.end = end;
-    o.inst.outcome = std::move(outcome);
-    classify(o);
+    TxnInstance inst;
+    static_cast<Txn &>(inst) = t;
+    classify(inst, o);
     byCpu_[cpu].push_back(instances_.size());
-    instances_.push_back(o.inst);
-    open_.erase(it);
+    instances_.push_back(std::move(inst));
 }
 
 void
 CriticalPathAccountant::onRecord(const TraceRecord &r)
 {
+    if (const Txn *t = txns_.closed())
+        close(*t);
     switch (r.kind) {
-      case TraceEvent::TxnElide: {
-        if (r.a3 == 0)
-            return; // re-elision inside an open instance
-        closeInstance(r.cpu, r.tick, "unfinished");
-        OpenInstance o;
-        o.inst.serial = nextSerial_++;
-        o.inst.cpu = r.cpu;
-        o.inst.lock = r.addr;
-        o.inst.begin = r.tick;
-        open_[r.cpu] = std::move(o);
-        return;
-      }
-      case TraceEvent::TxnRestart: {
-        auto it = open_.find(r.cpu);
-        if (it != open_.end()) {
-            ++it->second.inst.restarts;
-            it->second.lastRestartTick = r.tick;
-            Timestamp winner = unpackTs(0, r.a3);
-            it->second.inst.lastRestartWinner =
-                winner.valid ? winner.cpu : std::int16_t{-1};
-        }
-        if (r.a2 != 0) {
-            closeInstance(
-                r.cpu, r.tick,
-                std::string("fallback:") +
-                    abortReasonName(static_cast<AbortReason>(r.a0)));
-        }
-        return;
-      }
-      case TraceEvent::TxnCommit:
-        closeInstance(r.cpu, r.tick, "commit");
-        return;
-      case TraceEvent::TxnQuantumEnd:
-        closeInstance(r.cpu, r.tick, "quantum-end");
-        return;
       case TraceEvent::CohService: {
         // The graph builder closed the wait on this same record.
         const Wait *w = waits_.lastClosed();
         if (!w || w->ordinal < chargedBelow_[w->waiter])
             return;
-        auto oit = open_.find(w->waiter);
-        if (oit != open_.end()) {
-            oit->second.defer.push_back(
+        if (const Txn *t = txns_.open(w->waiter))
+            open_[t->serial].defer.push_back(
                 {w->start, r.tick, w->owner, r.addr});
-        }
         return;
       }
       case TraceEvent::CohMiss:
@@ -155,9 +115,8 @@ CriticalPathAccountant::onRecord(const TraceRecord &r)
         auto mit = missOpen_.find({r.cpu, r.addr});
         if (mit == missOpen_.end())
             return;
-        auto oit = open_.find(r.cpu);
-        if (oit != open_.end())
-            oit->second.miss.push_back({mit->second, r.tick});
+        if (const Txn *t = txns_.open(r.cpu))
+            open_[t->serial].miss.push_back({mit->second, r.tick});
         missOpen_.erase(mit);
         return;
       }
@@ -167,10 +126,10 @@ CriticalPathAccountant::onRecord(const TraceRecord &r)
 }
 
 void
-CriticalPathAccountant::finish(Tick now)
+CriticalPathAccountant::finish(const std::vector<Txn> &unfinished)
 {
-    while (!open_.empty())
-        closeInstance(open_.begin()->first, now, "unfinished");
+    for (const Txn &t : unfinished)
+        close(t);
 }
 
 const TxnInstance *

@@ -2,9 +2,9 @@
  * @file
  * Per-transaction critical-path accountant.
  *
- * Reconstructs every critical-section instance from the trace stream
- * (like the lifecycle tracker) and decomposes its wall-clock ticks
- * into four exclusive buckets, classified with the priority
+ * Takes every critical-section instance the Explainer's TxnState
+ * closes and decomposes its wall-clock ticks into four exclusive
+ * buckets, classified with the priority
  * defer-wait > coherence-miss > restart-redo > exec:
  *
  *   - defer : ticks this cpu's own request sat deferred behind a
@@ -14,9 +14,9 @@
  *             thrown away and re-executed
  *   - exec  : everything else (useful forward progress)
  *
- * Instances get a global serial number in elision order, so reports
- * can name them ("T17@cpu3") consistently across online and offline
- * analysis. Closed instances are kept per cpu in chronological order
+ * Instances carry the TxnState's serial number, in elision order, so
+ * reports can name them ("T17@cpu3") consistently across online and
+ * offline analysis. Closed instances are kept per cpu in chronological order
  * for causal-chain resolution: given (cpu, tick), instanceAt() finds
  * the transaction that held the resource at that moment. Deferral
  * spans come from the WaitState the Explainer's graph builder keeps.
@@ -31,23 +31,15 @@
 #include <vector>
 
 #include "trace/sink.hh"
+#include "trace/txn_state.hh"
 #include "trace/wait_state.hh"
 
 namespace tlr
 {
 
 /** One closed critical-section instance with its tick decomposition. */
-struct TxnInstance
+struct TxnInstance : Txn
 {
-    std::uint64_t serial = 0; ///< global elision-order id
-    std::int16_t cpu = -1;
-    Addr lock = 0;
-    Tick begin = 0;
-    Tick end = 0;
-    unsigned restarts = 0;
-    std::string outcome; ///< "commit" | "fallback:..." | "quantum-end"
-                         ///< | "unfinished"
-
     /** @{ tick decomposition (sums to end - begin) */
     Tick execTicks = 0;
     Tick deferTicks = 0;
@@ -60,9 +52,6 @@ struct TxnInstance
     std::int16_t longestDeferOwner = -1;
     Addr longestDeferLine = 0;
     Tick longestDeferTick = 0; ///< tick that deferral started
-
-    /** Winner cpu of the last conflict-caused restart, -1 if none. */
-    std::int16_t lastRestartWinner = -1;
 
     Tick total() const { return end > begin ? end - begin : 0; }
     Tick delay() const { return deferTicks + missTicks + redoTicks; }
@@ -79,17 +68,20 @@ struct TxnInstance
     }
 };
 
-/** Driven by the Explainer, after the ConflictGraphBuilder that
- *  updates the shared WaitState on the same record. */
+/** Driven by the Explainer, after the TxnState it shares and after
+ *  the ConflictGraphBuilder that updates the shared WaitState on the
+ *  same record. */
 class CriticalPathAccountant
 {
   public:
-    explicit CriticalPathAccountant(const WaitState &w) : waits_(w) {}
+    CriticalPathAccountant(const WaitState &w, const TxnState &t)
+        : waits_(w), txns_(t) {}
 
     void onRecord(const TraceRecord &r);
-    void finish(Tick now);
+    /** Keep the instances the TxnState closed at the stream end. */
+    void finish(const std::vector<Txn> &unfinished);
 
-    /** All closed instances, global serial order. */
+    /** All closed instances, in closing order. */
     const std::vector<TxnInstance> &instances() const
     {
         return instances_;
@@ -108,19 +100,21 @@ class CriticalPathAccountant
         Addr line = 0;
     };
 
-    struct OpenInstance
+    /** The intervals an open instance has met so far. */
+    struct Intervals
     {
-        TxnInstance inst;
         std::vector<Interval> defer;
         std::vector<Interval> miss;
-        Tick lastRestartTick = 0;
     };
 
-    void closeInstance(std::int16_t cpu, Tick end, std::string outcome);
-    static void classify(OpenInstance &o);
+    /** Charge @p t its intervals, classify its ticks and keep it. */
+    void close(const Txn &t);
+    static void classify(TxnInstance &t, const Intervals &iv);
 
     const WaitState &waits_;
-    std::map<std::int16_t, OpenInstance> open_;
+    const TxnState &txns_;
+    /** Open instance's serial → the intervals it has met. */
+    std::map<std::uint64_t, Intervals> open_;
     /** cpu → its waits below this ordinal were charged at a close. */
     std::map<std::int16_t, std::uint64_t> chargedBelow_;
     /** (cpu, line) → miss start tick. */
@@ -129,7 +123,6 @@ class CriticalPathAccountant
     std::vector<TxnInstance> instances_;
     /** Per-cpu indices into instances_, chronological. */
     std::map<std::int16_t, std::vector<size_t>> byCpu_;
-    std::uint64_t nextSerial_ = 0;
 };
 
 } // namespace tlr

@@ -54,16 +54,9 @@ maybeWriteEnvBundle(const MachineParams &mp, const Workload &wl,
     bm.invariantViolations = r.invariantViolations;
 
     BundleArtifacts art;
-    std::string extra;
-    if (sys.metrics())
-        extra = "  \"metrics\": " + sys.metrics()->snapshot().json();
-    if (sys.timeline()) {
-        if (!extra.empty())
-            extra += ",\n";
-        extra += "  \"timeline\": " + sys.timeline()->json();
+    if (sys.timeline())
         art.timelineCsv = sys.timeline()->csv();
-    }
-    art.statsJson = sys.stats().dumpJson(extra);
+    art.statsJson = statsDocument(sys);
     if (sys.explainer())
         art.explainText = sys.explainer()->report(ExplainMode::Txn);
 
@@ -77,6 +70,20 @@ maybeWriteEnvBundle(const MachineParams &mp, const Workload &wl,
 }
 
 } // namespace
+
+std::string
+statsDocument(System &sys)
+{
+    std::string extra;
+    if (sys.metrics())
+        extra = "  \"metrics\": " + sys.metrics()->snapshot().json();
+    if (sys.timeline()) {
+        if (!extra.empty())
+            extra += ",\n";
+        extra += "  \"timeline\": " + sys.timeline()->json();
+    }
+    return sys.stats().dumpJson(extra);
+}
 
 RunStats
 runWorkload(const MachineParams &mp, const Workload &wl)

@@ -74,6 +74,11 @@ struct RunStats
 /** Run @p wl on a machine configured by @p mp. */
 RunStats runWorkload(const MachineParams &mp, const Workload &wl);
 
+/** The versioned stats dump of a finished run on @p sys, with the
+ *  "metrics" and "timeline" sections of whichever of those observers
+ *  it armed (tlrsim --stats-json and every run bundle). */
+std::string statsDocument(System &sys);
+
 /** Convenience: configure the machine for @p scheme and run. */
 RunStats runScheme(Scheme scheme, int num_cpus, const Workload &wl,
                    Tick max_ticks = 2'000'000'000ull);

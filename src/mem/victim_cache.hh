@@ -29,6 +29,11 @@ class VictimCache
     explicit VictimCache(unsigned entries) : capacity_(entries) {}
 
     CacheLine *find(Addr line_addr);
+    const CacheLine *
+    find(Addr line_addr) const
+    {
+        return const_cast<VictimCache *>(this)->find(line_addr);
+    }
 
     /** Insert (copy) @p line. @return false when full (resource
      *  violation => the caller must fall back to lock acquisition). */

@@ -303,19 +303,26 @@ MetricsSnapshot::summary(size_t maxLocks) const
 // ---- MetricsCollector ---------------------------------------------------
 //
 
-MetricsCollector::OpenTxn &
-MetricsCollector::openFor(CpuId cpu)
-{
-    size_t idx = cpu >= 0 ? static_cast<size_t>(cpu) : 0;
-    if (idx >= open_.size())
-        open_.resize(idx + 1);
-    return open_[idx];
-}
-
 void
-MetricsCollector::closeTxn(OpenTxn &t)
+MetricsCollector::account(const Txn &t)
 {
-    t = OpenTxn{};
+    // An instance with no outcome is dropped rather than guessed at.
+    if (t.ended == TxnEnd::Unfinished)
+        return;
+    const Tick held = t.end - t.begin;
+    LockProfile &p = snap_.locks[t.lock];
+    if (t.ended == TxnEnd::Commit) {
+        snap_.csLatency.record(held);
+        if (t.inCommit)
+            snap_.commitLatency.record(t.end - t.commitStart);
+        ++p.commits;
+        p.occupancyTicks += held;
+    } else {
+        snap_.abortLatency.record(held);
+        if (t.ended == TxnEnd::Fallback)
+            ++p.fallbacks;
+    }
+    snap_.retries.record(t.restarts);
 }
 
 void
@@ -334,67 +341,14 @@ void
 MetricsCollector::onRecord(const TraceRecord &r)
 {
     ++snap_.records;
+    txns_.onRecord(r);
+    if (const Txn *t = txns_.opened())
+        ++snap_.locks[t->lock].elisions;
+    if (const Txn *t = txns_.restarted())
+        ++snap_.locks[t->lock].restarts;
+    if (const Txn *t = txns_.closed())
+        account(*t);
     switch (r.kind) {
-      case TraceEvent::TxnElide: {
-        if (r.a3 == 0)
-            return; // re-elision after a restart: same instance
-        OpenTxn &t = openFor(r.cpu);
-        // A dangling instance means the previous one never reported an
-        // outcome (mirrors TxnLifecycle); drop it without recording.
-        t = OpenTxn{};
-        t.active = true;
-        t.begin = r.tick;
-        t.lock = r.addr;
-        ++snap_.locks[r.addr].elisions;
-        return;
-      }
-      case TraceEvent::TxnRestart: {
-        OpenTxn &t = openFor(r.cpu);
-        if (!t.active)
-            return;
-        ++t.restarts;
-        LockProfile &p = snap_.locks[t.lock];
-        ++p.restarts;
-        t.inCommit = false;
-        if (r.a2 != 0) { // instance ended: fallback to the real lock
-            ++p.fallbacks;
-            snap_.abortLatency.record(r.tick - t.begin);
-            snap_.retries.record(t.restarts);
-            closeTxn(t);
-        }
-        return;
-      }
-      case TraceEvent::TxnQuantumEnd: {
-        OpenTxn &t = openFor(r.cpu);
-        if (!t.active)
-            return;
-        snap_.abortLatency.record(r.tick - t.begin);
-        snap_.retries.record(t.restarts);
-        closeTxn(t);
-        return;
-      }
-      case TraceEvent::TxnCommitStart: {
-        OpenTxn &t = openFor(r.cpu);
-        if (t.active) {
-            t.inCommit = true;
-            t.commitStart = r.tick;
-        }
-        return;
-      }
-      case TraceEvent::TxnCommit: {
-        OpenTxn &t = openFor(r.cpu);
-        if (!t.active)
-            return;
-        snap_.csLatency.record(r.tick - t.begin);
-        if (t.inCommit)
-            snap_.commitLatency.record(r.tick - t.commitStart);
-        snap_.retries.record(t.restarts);
-        LockProfile &p = snap_.locks[t.lock];
-        ++p.commits;
-        p.occupancyTicks += r.tick - t.begin;
-        closeTxn(t);
-        return;
-      }
       case TraceEvent::CohDefer:
       case TraceEvent::CohRelaxedDefer: {
         waits_.defer(r);
@@ -402,10 +356,8 @@ MetricsCollector::onRecord(const TraceRecord &r)
         // lock line, otherwise the lock the deferring owner holds.
         if (isLock_ && isLock_(r.addr)) {
             ++snap_.locks[r.addr].defers;
-        } else {
-            OpenTxn &t = openFor(r.cpu);
-            if (t.active)
-                ++snap_.locks[t.lock].defers;
+        } else if (const Txn *t = txns_.open(r.cpu)) {
+            ++snap_.locks[t->lock].defers;
         }
         return;
       }

@@ -44,6 +44,7 @@
 #include "metrics/histogram.hh"
 #include "trace/lifecycle.hh"
 #include "trace/sink.hh"
+#include "trace/txn_state.hh"
 #include "trace/wait_state.hh"
 
 namespace tlr
@@ -162,23 +163,12 @@ class MetricsCollector : public TraceListener
     std::vector<CounterTrack> counterTracks() const;
 
   private:
-    /** Open critical-section instance on one cpu (elided or real). */
-    struct OpenTxn
-    {
-        bool active = false;
-        bool inCommit = false;
-        Tick begin = 0;
-        Tick commitStart = 0;
-        Addr lock = 0;
-        std::uint64_t restarts = 0;
-    };
-
-    OpenTxn &openFor(CpuId cpu);
-    void closeTxn(OpenTxn &t);
+    /** Fold one instance the TxnState closed into the snapshot. */
+    void account(const Txn &t);
     void accountMsg(MsgClass cls, std::uint64_t bytes, int from, int to);
 
     MetricsSnapshot snap_;
-    std::vector<OpenTxn> open_;
+    TxnState txns_;
     WaitState waits_;
     /** Real lock holds: lock addr -> (holder cpu, acquire tick). */
     std::map<Addr, std::pair<int, Tick>> held_;

@@ -7,6 +7,7 @@
 #include "sim/build_info.hh"
 #include "sim/logging.hh"
 #include "trace/events.hh"
+#include "trace/txn_state.hh"
 
 namespace tlr
 {
@@ -58,7 +59,7 @@ EpochTimeline::onRecord(const TraceRecord &r)
     ++acc_.records;
     switch (r.kind) {
       case TraceEvent::TxnElide:
-        if (r.a3 != 0)
+        if (opensInstance(r))
             ++acc_.elisions;
         return;
       case TraceEvent::TxnCommit:
@@ -66,7 +67,7 @@ EpochTimeline::onRecord(const TraceRecord &r)
         return;
       case TraceEvent::TxnRestart:
         ++acc_.restarts;
-        if (r.a2 != 0)
+        if (endsInFallback(r))
             ++acc_.fallbacks;
         if (r.addr != 0)
             ++epochScore_[r.addr];

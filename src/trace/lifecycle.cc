@@ -1,75 +1,25 @@
 #include "trace/lifecycle.hh"
 
-#include <algorithm>
+#include <set>
 
 #include "coherence/messages.hh"
-#include "coherence/spec_hooks.hh"
 #include "sim/logging.hh"
 
 namespace tlr
 {
 
 void
-TxnLifecycle::closeSpan(CpuId cpu, Tick end, std::string outcome)
-{
-    auto it = open_.find(cpu);
-    if (it == open_.end())
-        return;
-    // Clamp: a span must never extend past its close tick or run
-    // backwards — Perfetto rejects traces with negative durations.
-    it->second.end = std::max(end, it->second.begin);
-    it->second.outcome = std::move(outcome);
-    spans_.push_back(it->second);
-    open_.erase(it);
-}
-
-void
 TxnLifecycle::onRecord(const TraceRecord &r)
 {
+    txns_.onRecord(r);
+    if (const Txn *t = txns_.closed())
+        spans_.push_back(*t);
+    // A fallback shows as its span's end, not as a marker; every other
+    // restart record is one, open instance or not.
+    if (r.kind == TraceEvent::TxnRestart && !endsInFallback(r))
+        instants_.push_back({r.cpu, r.tick, "restart",
+                             abortReasonName(restartReason(r))});
     switch (r.kind) {
-      case TraceEvent::TxnElide: {
-        if (r.a3 != 0) {
-            // New instance. A dangling span here means the previous
-            // instance never reported an outcome; close it defensively.
-            closeSpan(r.cpu, r.tick, "unfinished");
-            Span s;
-            s.cpu = r.cpu;
-            s.begin = r.tick;
-            s.lock = r.addr;
-            Timestamp ts = unpackTs(r.a1, r.a2);
-            s.tsClock = ts.clock;
-            s.tsValid = ts.valid;
-            open_[r.cpu] = s;
-        }
-        // Re-elision after a restart continues the open span.
-        return;
-      }
-      case TraceEvent::TxnNest: {
-        auto it = open_.find(r.cpu);
-        if (it != open_.end())
-            ++it->second.nests;
-        return;
-      }
-      case TraceEvent::TxnRestart: {
-        auto reason = static_cast<AbortReason>(r.a0);
-        if (r.a2 != 0) {
-            closeSpan(r.cpu, r.tick,
-                      std::string("fallback:") + abortReasonName(reason));
-        } else {
-            auto it = open_.find(r.cpu);
-            if (it != open_.end())
-                ++it->second.restarts;
-            instants_.push_back({r.cpu, r.tick, "restart",
-                                 abortReasonName(reason)});
-        }
-        return;
-      }
-      case TraceEvent::TxnCommit:
-        closeSpan(r.cpu, r.tick, "commit");
-        return;
-      case TraceEvent::TxnQuantumEnd:
-        closeSpan(r.cpu, r.tick, "quantum-end");
-        return;
       case TraceEvent::CohDefer:
       case TraceEvent::CohRelaxedDefer:
         instants_.push_back(
@@ -101,8 +51,8 @@ TxnLifecycle::onRecord(const TraceRecord &r)
 void
 TxnLifecycle::finish(Tick now)
 {
-    while (!open_.empty())
-        closeSpan(open_.begin()->first, now, "unfinished");
+    for (Txn &t : txns_.finish(now))
+        spans_.push_back(std::move(t));
 }
 
 namespace
@@ -111,11 +61,11 @@ namespace
 /** Chrome trace-event colors by outcome (cname is a documented
  *  trace-viewer field; Perfetto falls back to its own palette). */
 const char *
-outcomeColor(const std::string &outcome)
+outcomeColor(TxnEnd ended)
 {
-    if (outcome == "commit")
+    if (ended == TxnEnd::Commit)
         return "good";
-    if (outcome.rfind("fallback:", 0) == 0)
+    if (ended == TxnEnd::Fallback)
         return "terrible";
     return "bad";
 }
@@ -140,13 +90,12 @@ TxnLifecycle::exportChromeTrace(std::ostream &os,
         os << "\n";
     };
 
-    std::map<CpuId, bool> rows;
-    for (const Span &s : spans_)
-        rows[s.cpu] = true;
+    std::set<CpuId> rows;
+    for (const Txn &s : spans_)
+        rows.insert(s.cpu);
     for (const Instant &i : instants_)
-        rows[i.cpu] = true;
-    for (const auto &[cpu, unused] : rows) {
-        (void)unused;
+        rows.insert(i.cpu);
+    for (CpuId cpu : rows) {
         sep();
         os << strfmt("{\"ph\":\"M\",\"pid\":0,\"tid\":%d,"
                      "\"name\":\"thread_name\","
@@ -154,7 +103,7 @@ TxnLifecycle::exportChromeTrace(std::ostream &os,
                      cpu, cpu);
     }
 
-    for (const Span &s : spans_) {
+    for (const Txn &s : spans_) {
         sep();
         Tick dur = s.end > s.begin ? s.end - s.begin : 0;
         os << strfmt(
@@ -166,9 +115,9 @@ TxnLifecycle::exportChromeTrace(std::ostream &os,
             s.cpu, static_cast<unsigned long long>(s.lock),
             static_cast<unsigned long long>(s.begin),
             static_cast<unsigned long long>(dur),
-            outcomeColor(s.outcome), s.outcome.c_str(), s.restarts,
-            s.nests, static_cast<unsigned long long>(s.tsClock),
-            s.tsValid ? "true" : "false");
+            outcomeColor(s.ended), s.outcome().c_str(), s.restarts,
+            s.nests, static_cast<unsigned long long>(s.ts.clock),
+            s.ts.valid ? "true" : "false");
     }
 
     for (const Instant &i : instants_) {

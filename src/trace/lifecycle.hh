@@ -2,26 +2,26 @@
  * @file
  * Per-transaction lifecycle tracker and Chrome-trace exporter.
  *
- * Consumes the structured event stream and reconstructs every
- * critical-section instance on every processor: elide → speculate →
- * conflict → defer/restart → commit or fallback. The result exports as
- * Chrome trace-event JSON (the format Perfetto and chrome://tracing
- * open natively): one timeline row per cpu, a duration span per
- * transaction instance colored by outcome, and instant markers for
- * restarts, defers, probes and yields.
+ * Consumes the structured event stream and keeps every
+ * critical-section instance its own TxnState closes (elide →
+ * speculate → conflict → defer/restart → commit or fallback). It
+ * exports as Chrome trace-event JSON (the format Perfetto and
+ * chrome://tracing open natively): one timeline row per cpu, a
+ * duration span per transaction instance colored by outcome, and
+ * instant markers for restarts, defers, probes and yields.
  */
 
 #ifndef TLR_TRACE_LIFECYCLE_HH
 #define TLR_TRACE_LIFECYCLE_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "trace/sink.hh"
+#include "trace/txn_state.hh"
 
 namespace tlr
 {
@@ -51,21 +51,6 @@ struct FlowArrow
 class TxnLifecycle : public TraceListener
 {
   public:
-    /** One critical-section instance, first elision to final outcome. */
-    struct Span
-    {
-        CpuId cpu = invalidCpu;
-        Tick begin = 0;
-        Tick end = 0;
-        Addr lock = 0;
-        std::uint64_t tsClock = 0;
-        bool tsValid = false;
-        unsigned restarts = 0;
-        unsigned nests = 0;
-        std::string outcome; ///< "commit" | "fallback:<reason>" |
-                             ///< "quantum-end" | "unfinished"
-    };
-
     /** A point event on a cpu row (restart, defer, probe, yield). */
     struct Instant
     {
@@ -78,7 +63,8 @@ class TxnLifecycle : public TraceListener
     void onRecord(const TraceRecord &r) override;
     void finish(Tick now) override;
 
-    const std::vector<Span> &spans() const { return spans_; }
+    /** Closed instances, in closing order. */
+    const std::vector<Txn> &spans() const { return spans_; }
     const std::vector<Instant> &instants() const { return instants_; }
 
     /** Write the whole run as Chrome trace-event JSON, optionally
@@ -90,10 +76,8 @@ class TxnLifecycle : public TraceListener
         const;
 
   private:
-    void closeSpan(CpuId cpu, Tick end, std::string outcome);
-
-    std::map<CpuId, Span> open_;
-    std::vector<Span> spans_;
+    TxnState txns_;
+    std::vector<Txn> spans_;
     std::vector<Instant> instants_;
 };
 

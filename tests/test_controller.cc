@@ -525,6 +525,34 @@ TEST(Controller, BoundaryCountFollowsALineThroughTheVictimCache)
     expectCleared(r);
 }
 
+TEST(Controller, ConstQueriesDoNotPromoteAVictimLine)
+{
+    // lineA goes to the victim cache as in the test above, then a
+    // remote write frees a way in its set. The const queries must read
+    // lineA where it lies, not move it back into the free way.
+    Rig r;
+    const Addr setSpan = L1Params{}.sizeBytes / L1Params{}.ways;
+    r.hooks0.spec = r.hooks0.tlr = true;
+    r.hooks0.ts = Timestamp::make(1, 0);
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineA, 0, true);
+    r.run();
+    for (Addr k = 1; k <= 4; ++k) {
+        r.access(r.l1a, CacheOp::Kind::LoadShared, lineA + k * setSpan);
+        r.run();
+    }
+    ASSERT_EQ(r.l1a.array().find(lineA), nullptr);
+    r.access(r.l1b, CacheOp::Kind::Store, lineA + setSpan, 1);
+    r.run();
+
+    const CohState state = r.l1a.lineState(lineA);
+    EXPECT_NE(state, CohState::Invalid);
+    EXPECT_EQ(r.l1a.array().find(lineA), nullptr);
+    EXPECT_EQ(r.l1a.upgradeValid(lineA), state == CohState::Shared ||
+                                             state == CohState::Owned);
+    EXPECT_EQ(r.l1a.peekWord(lineA), 0u);
+    EXPECT_EQ(r.l1a.array().find(lineA), nullptr);
+}
+
 TEST(Controller, BoundaryCountDropsAnInvalidatedMarkedLine)
 {
     // With speculation already off, a remote write takes lineB while

@@ -338,7 +338,7 @@ TEST(RawTrace, ReplayDrivesListenerFinishWithFinalTick)
     TxnLifecycle lc;
     rd.replay(lc);
     ASSERT_EQ(lc.spans().size(), 1u);
-    EXPECT_EQ(lc.spans()[0].outcome, "unfinished");
+    EXPECT_EQ(lc.spans()[0].outcome(), "unfinished");
     EXPECT_EQ(lc.spans()[0].begin, 100u);
     EXPECT_EQ(lc.spans()[0].end, 450u);
     std::remove(path.c_str());
@@ -460,22 +460,40 @@ TEST(ConflictGraph, ConvoyNeedsSimultaneousWaiters)
 
 TEST(ConflictGraph, RestartEdgeCarriesWinnerFromPackedMeta)
 {
-    Explainer ex;
-    const ConflictGraphBuilder &g = ex.graph();
-    Timestamp winner = Timestamp::make(9, 5); // clock 9, cpu 5
-    ex.onRecord(rec(40, TraceComp::Spec, TraceEvent::TxnRestart, 3, 0x40,
-                   /*reason=*/0, 0, /*ended=*/0, packTsMeta(winner)));
-    // No contender noted: winner stays -1.
-    ex.onRecord(rec(60, TraceComp::Spec, TraceEvent::TxnRestart, 2, 0,
-                   /*reason=*/1, 0, 0, packTsMeta(Timestamp{})));
-    ex.finish(100);
+    // A bare TxnRestart makes an edge that carries its winner, as does
+    // one whose instance's elide is in the stream: a filtered trace may
+    // have dropped that elide, and the graph counts the record alone.
+    for (bool opened : {false, true}) {
+        SCOPED_TRACE(opened ? "instances opened" : "bare restarts");
+        Explainer ex;
+        const ConflictGraphBuilder &g = ex.graph();
+        Timestamp winner = Timestamp::make(9, 5); // clock 9, cpu 5
+        if (opened) {
+            ex.onRecord(elide(30, 3, 0x80));
+            ex.onRecord(elide(30, 2, 0x80));
+        }
+        ex.onRecord(rec(40, TraceComp::Spec, TraceEvent::TxnRestart, 3,
+                       0x40, /*reason=*/0, 0, /*ended=*/0,
+                       packTsMeta(winner)));
+        // No contender noted: winner stays -1.
+        ex.onRecord(rec(60, TraceComp::Spec, TraceEvent::TxnRestart, 2, 0,
+                       /*reason=*/1, 0, 0, packTsMeta(Timestamp{})));
+        ex.finish(100);
 
-    ASSERT_EQ(g.restartEdges().size(), 2u);
-    EXPECT_EQ(g.restartEdges()[0].loser, 3);
-    EXPECT_EQ(g.restartEdges()[0].winner, 5);
-    EXPECT_EQ(g.restartEdges()[0].line, 0x40u);
-    EXPECT_EQ(g.restartEdges()[1].winner, -1);
-    EXPECT_EQ(g.lines().at(0x40).restarts, 1u);
+        ASSERT_EQ(g.restartEdges().size(), 2u);
+        EXPECT_EQ(g.restartEdges()[0].loser, 3);
+        EXPECT_EQ(g.restartEdges()[0].winner, 5);
+        EXPECT_EQ(g.restartEdges()[0].line, 0x40u);
+        EXPECT_EQ(g.restartEdges()[1].winner, -1);
+        EXPECT_EQ(g.lines().at(0x40).restarts, 1u);
+        // Only an open instance takes the restart on itself.
+        const auto &inst = ex.paths().instances();
+        ASSERT_EQ(inst.size(), opened ? 2u : 0u);
+        for (const TxnInstance &t : inst) {
+            EXPECT_EQ(t.restarts, 1u);
+            EXPECT_EQ(t.lastRestartWinner, t.cpu == 3 ? 5 : -1);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -501,7 +519,7 @@ TEST(CriticalPath, DecomposesExactTicks)
     EXPECT_EQ(t.serial, 0u);
     EXPECT_EQ(t.cpu, 0);
     EXPECT_EQ(t.lock, 0x80u);
-    EXPECT_EQ(t.outcome, "commit");
+    EXPECT_EQ(t.outcome(), "commit");
     EXPECT_EQ(t.total(), 100u);
     EXPECT_EQ(t.missTicks, 20u);
     EXPECT_EQ(t.deferTicks, 40u);
@@ -572,9 +590,9 @@ TEST(CriticalPath, FallbackAndUnfinishedOutcomes)
     ex.finish(200);
 
     ASSERT_EQ(a.instances().size(), 2u);
-    EXPECT_EQ(a.instances()[0].outcome.rfind("fallback:", 0), 0u);
+    EXPECT_EQ(a.instances()[0].outcome().rfind("fallback:", 0), 0u);
     EXPECT_EQ(a.instances()[0].end, 50u);
-    EXPECT_EQ(a.instances()[1].outcome, "unfinished");
+    EXPECT_EQ(a.instances()[1].outcome(), "unfinished");
     EXPECT_EQ(a.instances()[1].end, 200u);
 }
 

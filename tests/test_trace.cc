@@ -190,6 +190,11 @@ TEST(TxnLifecycle, ReconstructsSpansAndOutcomes)
     // cpu2: still speculating at end of run.
     lc.onRecord(rec(130, TraceComp::Spec, TraceEvent::TxnElide, 2, 0x80,
                     0, 0, 0, /*new instance=*/1));
+
+    // cpu3: a restart whose elide a trace filter dropped.
+    lc.onRecord(rec(140, TraceComp::Spec, TraceEvent::TxnRestart, 3, 0,
+                    static_cast<std::uint64_t>(AbortReason::ConflictLost),
+                    0, /*instance ended=*/0));
     lc.finish(300);
 
     ASSERT_EQ(lc.spans().size(), 3u);
@@ -198,23 +203,28 @@ TEST(TxnLifecycle, ReconstructsSpansAndOutcomes)
     // Spans close in record order: cpu0's commit, cpu1's fallback,
     // then the unfinished cpu2 span at finish().
     EXPECT_EQ(spans[0].cpu, 0);
-    EXPECT_EQ(spans[0].outcome, "commit");
+    EXPECT_EQ(spans[0].outcome(), "commit");
     EXPECT_EQ(spans[0].begin, 100u);
     EXPECT_EQ(spans[0].end, 200u);
     EXPECT_EQ(spans[0].restarts, 1u);
-    EXPECT_EQ(spans[0].tsClock, 7u);
-    EXPECT_TRUE(spans[0].tsValid);
+    EXPECT_EQ(spans[0].ts.clock, 7u);
+    EXPECT_TRUE(spans[0].ts.valid);
 
     EXPECT_EQ(spans[1].cpu, 1);
-    EXPECT_EQ(spans[1].outcome.rfind("fallback:", 0), 0u);
+    EXPECT_EQ(spans[1].outcome().rfind("fallback:", 0), 0u);
+    // The restart that ends an instance in fallback counts too.
+    EXPECT_EQ(spans[1].restarts, 1u);
 
     EXPECT_EQ(spans[2].cpu, 2);
-    EXPECT_EQ(spans[2].outcome, "unfinished");
+    EXPECT_EQ(spans[2].outcome(), "unfinished");
     EXPECT_EQ(spans[2].end, 300u);
 
-    // The restart shows up as an instant marker, not a span break.
-    ASSERT_EQ(lc.instants().size(), 1u);
+    // A restart shows up as an instant marker, not a span break, with
+    // or without an open span; the fallback is its span's end instead.
+    ASSERT_EQ(lc.instants().size(), 2u);
     EXPECT_EQ(lc.instants()[0].name, "restart");
+    EXPECT_EQ(lc.instants()[1].name, "restart");
+    EXPECT_EQ(lc.instants()[1].cpu, 3);
 }
 
 TEST(TxnLifecycle, ExportsChromeTraceJson)
@@ -608,7 +618,7 @@ TEST(TxnLifecycle, WatchdogTruncatedRunClosesSpansAtFinalTick)
     for (const auto &s : lc.spans()) {
         EXPECT_LE(s.begin, s.end);
         EXPECT_LE(s.end, mp.maxTicks);
-        if (s.outcome == "unfinished")
+        if (s.outcome() == "unfinished")
             sawUnfinished = true;
     }
     EXPECT_TRUE(sawUnfinished);

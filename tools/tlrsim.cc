@@ -479,15 +479,7 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
                      o.traceRaw.c_str());
     }
     if (!o.statsJson.empty() || !o.reportDir.empty()) {
-        std::string extra;
-        if (o.metrics)
-            extra = "  \"metrics\": " + sys.metrics()->snapshot().json();
-        if (sys.timeline()) {
-            if (!extra.empty())
-                extra += ",\n";
-            extra += "  \"timeline\": " + sys.timeline()->json();
-        }
-        std::string statsDoc = s.dumpJson(extra);
+        std::string statsDoc = statsDocument(sys);
         if (!o.statsJson.empty())
             writeArtifact(o.statsJson, statsDoc);
         if (!o.reportDir.empty()) {
