@@ -18,10 +18,16 @@
  *      aborts, and the L1 lines looked up to clear access and pin
  *      bits (a deterministic count, hard-gated in CI: the tracked
  *      clear visits a transaction's footprint, where a full scan
- *      would visit every one of the L1's 2048 lines); and the same
- *      run under --check-invariants, counting the lines the
- *      boundary-clear oracle scanned (hard-gated at zero: a clean
- *      boundary is checked by one compare of the array's count).
+ *      would visit every one of the L1's 2048 lines); and ycsb-a
+ *      under TLR-strict-ts with --check-invariants, counting the
+ *      lines the boundary-clear oracle scanned (hard-gated at zero: a
+ *      clean boundary is checked by one compare of the array's count)
+ *      and the work each invariant rule did (line updates, CohLose
+ *      records, cycle searches, read-set words checked at commit; CI
+ *      requires each to be non-zero, so a rule that stopped seeing
+ *      its records fails). The checked run is strict because relaxed
+ *      TLR (Section 3.2) loses no conflict at a timestamp decision on
+ *      ycsb-a, which would leave the timestamp-order rule idle.
  *
  * Usage: bench_kernel [--json=FILE] [--quick]
  * CI runs this and uploads the JSON; compare events/sec across
@@ -31,7 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "harness/runner.hh"
@@ -39,6 +44,8 @@
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "sim/build_info.hh"
+#include "sim/fileio.hh"
+#include "sim/logging.hh"
 #include "workloads/micro.hh"
 #include "workloads/registry.hh"
 #include "workloads/workload.hh"
@@ -131,22 +138,26 @@ fullSim(int reps, double *events_per_sec, double *sims_per_sec,
     *events_out = events;
 }
 
-// 6. Boundary work: one ycsb-a TLR run, summed over every L1; with
-// @p checked the invariant checkers and boundary-clear oracle are on.
+// 6. Boundary work: one ycsb-a run under @p scheme, summed over every
+// L1; with @p rules the invariant checker and boundary-clear oracle
+// are on, and the checker's per-rule work is stored there.
 L1Controller::BoundaryWork
-boundaryWork(std::uint64_t ops, bool checked)
+boundaryWork(std::uint64_t ops, Scheme scheme,
+             InvariantRegistry::Work *rules = nullptr)
 {
     WorkloadParams wp;
     wp.numCpus = 8;
     wp.ops = ops;
-    wp.lockKind = schemeLockKind(Scheme::BaseSleTlr);
+    wp.lockKind = schemeLockKind(scheme);
     MachineParams mp;
     mp.numCpus = 8;
-    mp.spec = schemeSpecConfig(Scheme::BaseSleTlr);
-    mp.trace.checkInvariants = checked;
+    mp.spec = schemeSpecConfig(scheme);
+    mp.trace.checkInvariants = rules != nullptr;
     System sys(mp);
     installWorkload(sys, makeRegisteredWorkload("ycsb-a", wp));
     sys.run();
+    if (rules)
+        *rules = sys.checkers()->work();
     L1Controller::BoundaryWork total;
     for (int i = 0; i < sys.numCpus(); ++i) {
         const L1Controller::BoundaryWork &w = sys.l1(i).boundaryWork();
@@ -223,16 +234,17 @@ main(int argc, char **argv)
     double sweepSerial = sweepWall(tasks, 1);
     double sweepJobs4 = sweepWall(tasks, 4);
     const std::uint64_t boundaryOps = quick ? 256 : 1024;
-    L1Controller::BoundaryWork bw = boundaryWork(boundaryOps, false);
-    L1Controller::BoundaryWork checked = boundaryWork(boundaryOps, true);
+    L1Controller::BoundaryWork bw =
+        boundaryWork(boundaryOps, Scheme::BaseSleTlr);
+    InvariantRegistry::Work rules;
+    L1Controller::BoundaryWork checked =
+        boundaryWork(boundaryOps, Scheme::TlrStrictTs, &rules);
     double linesPerBoundary =
         bw.boundaries ? static_cast<double>(bw.linesVisited) /
                             static_cast<double>(bw.boundaries)
                       : 0;
 
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
+    const std::string json = strfmt(
         "{\n"
         "  \"schema_version\": %d,\n"
         "  \"kernel_small_events_per_sec\": %.0f,\n"
@@ -251,6 +263,10 @@ main(int argc, char **argv)
         "  \"ycsb_a_lines_per_boundary\": %.3f,\n"
         "  \"ycsb_a_checked_boundaries\": %llu,\n"
         "  \"ycsb_a_oracle_lines_scanned\": %llu,\n"
+        "  \"ycsb_a_rule_line_updates\": %llu,\n"
+        "  \"ycsb_a_rule_loses_checked\": %llu,\n"
+        "  \"ycsb_a_rule_cycle_searches\": %llu,\n"
+        "  \"ycsb_a_rule_read_words\": %llu,\n"
         "  \"host_threads\": %u\n"
         "}\n",
         statsSchemaVersion, evSmall, evLarge,
@@ -264,15 +280,14 @@ main(int argc, char **argv)
         linesPerBoundary,
         static_cast<unsigned long long>(checked.boundaries),
         static_cast<unsigned long long>(checked.oracleLinesScanned),
-        defaultJobs());
-    std::fputs(buf, stdout);
+        static_cast<unsigned long long>(rules.lineUpdates),
+        static_cast<unsigned long long>(rules.losesChecked),
+        static_cast<unsigned long long>(rules.cycleSearches),
+        static_cast<unsigned long long>(rules.readWords), defaultJobs());
+    std::fputs(json.c_str(), stdout);
     if (!jsonFile.empty()) {
-        std::ofstream out(jsonFile);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", jsonFile.c_str());
-            return 1;
-        }
-        out << buf;
+        if (ArtifactError e = writeFile(jsonFile, json))
+            return reportError("bench_kernel", e);
     }
     return 0;
 }

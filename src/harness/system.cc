@@ -37,7 +37,7 @@ System::System(const MachineParams &params)
         trace_.addListener(metrics_.get());
     }
     if (params.explain) {
-        explain_ = std::make_unique<Explainer>(params.explainTopK);
+        explain_ = std::make_unique<Explainer>();
         trace_.addListener(explain_.get());
     }
     if (params.timelineEpoch > 0) {

@@ -59,8 +59,6 @@ struct MachineParams
      *  collectMetrics: arms the sink, never perturbs simulated
      *  cycles, off by default. */
     bool explain = false;
-    /** Transactions listed in the explain report (--explain top-K). */
-    unsigned explainTopK = 10;
     /** Attach an EpochTimeline slicing the trace stream into epochs of
      *  this many cycles (--timeline-epoch, DESIGN.md §14). Same
      *  contract as collectMetrics/explain: arms the sink, never
@@ -87,6 +85,9 @@ class System
     EventQueue &eventQueue() { return eq_; }
     StatSet &stats() { return stats_; }
     TraceSink &traceSink() { return trace_; }
+    /** The attached invariant checker; null unless
+     *  trace.checkInvariants. */
+    const InvariantRegistry *checkers() const { return checkers_.get(); }
     /** The attached metrics collector; null unless collectMetrics. */
     MetricsCollector *metrics() { return metrics_.get(); }
     /** The attached explainer; null unless MachineParams::explain. */

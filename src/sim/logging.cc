@@ -37,9 +37,9 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);
+    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     std::fflush(stderr);
     throw std::runtime_error("fatal: " + msg);
 }

@@ -3,7 +3,8 @@
  * Error reporting and optional debug tracing.
  *
  * Follows the gem5 convention: panic() for internal invariant
- * violations (simulator bugs), fatal() for user/configuration errors,
+ * violations (simulator bugs, with their source location), fatal()
+ * for user/configuration errors (the message alone),
  * warn()/inform() for advisories. Debug tracing is compiled in but
  * gated at run time by Trace::enabled, so hot paths stay cheap.
  */
@@ -19,7 +20,7 @@ namespace tlr
 {
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -41,7 +42,7 @@ struct Trace
 #define panic(...) \
     ::tlr::panicImpl(__FILE__, __LINE__, ::tlr::strfmt(__VA_ARGS__))
 #define fatal(...) \
-    ::tlr::fatalImpl(__FILE__, __LINE__, ::tlr::strfmt(__VA_ARGS__))
+    ::tlr::fatalImpl(::tlr::strfmt(__VA_ARGS__))
 #define warn(...) ::tlr::warnImpl(::tlr::strfmt(__VA_ARGS__))
 #define inform(...) ::tlr::informImpl(::tlr::strfmt(__VA_ARGS__))
 

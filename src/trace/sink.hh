@@ -53,9 +53,6 @@ struct TraceParams
     /** Record violations in stats but keep running instead of
      *  panicking at the violating tick (test support). */
     bool keepGoingOnViolation = false;
-    /** Deferral-graph cycles older than this many ticks are reported
-     *  as deadlocks; 0 derives a bound from the L1 yield timeout. */
-    Tick cycleStuckTicks = 0;
 };
 
 class TraceSink

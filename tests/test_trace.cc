@@ -49,16 +49,17 @@ rec(Tick tick, TraceComp comp, TraceEvent kind, CpuId cpu, Addr addr,
     return r;
 }
 
-/** A sink plus registry in keep-going mode, for violation counting. */
+/** A sink plus registry in keep-going mode, for violation counting.
+ *  Its yield timeout of 100 puts the deferral-cycle bound at
+ *  20 * 100 + 20,000 = 22,000 ticks. */
 struct CheckerFixture
 {
     StatSet stats;
     TraceSink sink;
     InvariantRegistry reg;
 
-    explicit CheckerFixture(bool keep_going = true,
-                            Tick cycle_stuck_ticks = 1000)
-        : reg(stats, &sink, makeParams(keep_going, cycle_stuck_ticks),
+    explicit CheckerFixture(bool keep_going = true)
+        : reg(stats, &sink, makeParams(keep_going),
               /*defer_untimestamped=*/true, /*yield_timeout=*/100)
     {
         sink.configure(/*ring_capacity=*/32, /*echo_text=*/false);
@@ -66,12 +67,11 @@ struct CheckerFixture
     }
 
     static TraceParams
-    makeParams(bool keep_going, Tick cycle_stuck_ticks)
+    makeParams(bool keep_going)
     {
         TraceParams p;
         p.checkInvariants = true;
         p.keepGoingOnViolation = keep_going;
-        p.cycleStuckTicks = cycle_stuck_ticks;
         return p;
     }
 
@@ -81,6 +81,19 @@ struct CheckerFixture
         return stats.get("trace", std::string("violations.") + checker);
     }
 };
+
+/** The panic text @p emit raises, or "" when it raises none. */
+template <class F>
+std::string
+panicOf(F &&emit)
+{
+    try {
+        emit();
+    } catch (const std::logic_error &e) {
+        return e.what();
+    }
+    return "";
+}
 
 } // namespace
 
@@ -331,7 +344,7 @@ TEST(InvariantCheckers, TimestampOrderFiresOnUntimestampedWinner)
 
 TEST(InvariantCheckers, DeferralCycleFiresWhenCyclePersists)
 {
-    CheckerFixture f(/*keep_going=*/true, /*cycle_stuck_ticks=*/1000);
+    CheckerFixture f;
     const auto getx = static_cast<std::uint64_t>(ReqType::GetX);
 
     // cpu0 waits on cpu1, cpu1 waits on cpu0: a waits-for cycle.
@@ -343,26 +356,26 @@ TEST(InvariantCheckers, DeferralCycleFiresWhenCyclePersists)
 
     // Another edge change far past the persistence bound: the cycle
     // is still there, so the checker must report a deadlock.
-    f.sink.emit(5000, TraceComp::L1, TraceEvent::CohDefer, 2, 0x180,
+    f.sink.emit(30'000, TraceComp::L1, TraceEvent::CohDefer, 2, 0x180,
                 /*requester=*/3, getx);
     EXPECT_EQ(f.count("deferral-cycle"), 1u);
 }
 
 TEST(InvariantCheckers, DeferralCycleFiresAtFinish)
 {
-    CheckerFixture f(/*keep_going=*/true, /*cycle_stuck_ticks=*/1000);
+    CheckerFixture f;
     const auto getx = static_cast<std::uint64_t>(ReqType::GetX);
     f.sink.emit(10, TraceComp::L1, TraceEvent::CohDefer, 1, 0x100, 0,
                 getx);
     f.sink.emit(20, TraceComp::L1, TraceEvent::CohDefer, 0, 0x140, 1,
                 getx);
-    f.sink.finish(5000); // run ends with the cycle unbroken
+    f.sink.finish(30'000); // run ends with the cycle unbroken
     EXPECT_EQ(f.count("deferral-cycle"), 1u);
 }
 
 TEST(InvariantCheckers, DeferralCycleClearedByServiceAndCommit)
 {
-    CheckerFixture f(/*keep_going=*/true, /*cycle_stuck_ticks=*/1000);
+    CheckerFixture f;
     const auto getx = static_cast<std::uint64_t>(ReqType::GetX);
     f.sink.emit(10, TraceComp::L1, TraceEvent::CohDefer, 1, 0x100, 0,
                 getx);
@@ -373,6 +386,61 @@ TEST(InvariantCheckers, DeferralCycleClearedByServiceAndCommit)
     f.sink.emit(40, TraceComp::L1, TraceEvent::CohService, 1, 0x100, 0);
     f.sink.finish(50'000);
     EXPECT_EQ(f.reg.violations(), 0u);
+}
+
+TEST(InvariantCheckers, DeferralCycleBoundIsTwentyYieldTimeoutsPlus20000)
+{
+    CheckerFixture f; // yield timeout 100: the bound is 22,000 ticks
+    const auto getx = static_cast<std::uint64_t>(ReqType::GetX);
+    f.sink.emit(10, TraceComp::L1, TraceEvent::CohDefer, 1, 0x100, 0,
+                getx);
+    f.sink.emit(20, TraceComp::L1, TraceEvent::CohDefer, 0, 0x140, 1,
+                getx); // the cycle opens at tick 20
+    f.sink.emit(22'020, TraceComp::L1, TraceEvent::CohDefer, 2, 0x180, 3,
+                getx);
+    EXPECT_EQ(f.count("deferral-cycle"), 0u); // 22,000 ticks old
+    f.sink.emit(22'021, TraceComp::L1, TraceEvent::CohDefer, 2, 0x1c0, 3,
+                getx);
+    EXPECT_EQ(f.count("deferral-cycle"), 1u); // 22,001 ticks old
+}
+
+TEST(InvariantCheckers, DeferralCycleThroughAnIntermediaryPanics)
+{
+    CheckerFixture f(/*keep_going=*/false);
+    const auto getx = static_cast<std::uint64_t>(ReqType::GetX);
+    // cpu0 waits on cpu1, which waits on cpu2, which waits on cpu0.
+    f.sink.emit(10, TraceComp::L1, TraceEvent::CohDefer, 1, 0x100, 0,
+                getx);
+    f.sink.emit(20, TraceComp::L1, TraceEvent::CohDefer, 2, 0x140, 1,
+                getx);
+    f.sink.emit(30, TraceComp::L1, TraceEvent::CohDefer, 0, 0x180, 2,
+                getx);
+    EXPECT_EQ(f.reg.violations(), 0u);
+    EXPECT_EQ(panicOf([&] { f.sink.finish(30'000); }),
+              "panic: invariant deferral-cycle violated @30000: "
+              "waits-for cycle [cpu0 -> cpu1 -> cpu2] unbroken for "
+              "29970 ticks");
+}
+
+TEST(InvariantCheckers, DeferDrainLeavesOtherHoldersEdges)
+{
+    CheckerFixture f;
+    const auto getx = static_cast<std::uint64_t>(ReqType::GetX);
+    f.sink.emit(10, TraceComp::L1, TraceEvent::CohDefer, 1, 0x100, 0,
+                getx);
+    f.sink.emit(20, TraceComp::L1, TraceEvent::CohDefer, 0, 0x140, 1,
+                getx);
+    f.sink.emit(30, TraceComp::L1, TraceEvent::CohDefer, 2, 0x180, 3,
+                getx);
+    // cpu2's drain frees cpu3 and leaves the cpu0/cpu1 cycle.
+    f.sink.emit(40, TraceComp::L1, TraceEvent::CohDeferDrain, 2, 0, 1);
+    f.sink.emit(30'000, TraceComp::L1, TraceEvent::CohDefer, 2, 0x1c0, 3,
+                getx);
+    EXPECT_EQ(f.count("deferral-cycle"), 1u);
+    // cpu0's drain frees cpu1 and breaks the cycle for good.
+    f.sink.emit(30'010, TraceComp::L1, TraceEvent::CohDeferDrain, 0, 0, 1);
+    f.sink.finish(60'000);
+    EXPECT_EQ(f.count("deferral-cycle"), 1u);
 }
 
 TEST(InvariantCheckers, AtomicityFiresOnTornReadSet)
@@ -400,8 +468,8 @@ TEST(InvariantCheckers, AtomicityCleanCommitAndAbortPaths)
     f.sink.emit(31, TraceComp::L1, TraceEvent::TxnWrite, 0, 0x200, 6);
     f.sink.emit(32, TraceComp::Spec, TraceEvent::TxnCommit, 0, 0, 1);
     EXPECT_EQ(f.reg.violations(), 0u);
-    EXPECT_TRUE(f.reg.atomicity().hasWord(0x200));
-    EXPECT_EQ(f.reg.atomicity().word(0x200), 6u);
+    EXPECT_TRUE(f.reg.hasWord(0x200));
+    EXPECT_EQ(f.reg.word(0x200), 6u);
 
     // Aborted speculation discards its read set: the conflicting
     // write must not be reported against a transaction that restarted.
@@ -486,6 +554,67 @@ TEST(InvariantCheckers, PanicsAtViolatingTickWithoutKeepGoing)
         std::logic_error);
     // The violation was still counted before the panic.
     EXPECT_EQ(f.reg.violations(), 1u);
+}
+
+// One injected violation per rule, panicking: the exact message.
+
+TEST(InvariantCheckers, SingleOwnerPanicNamesCopiesInCpuOrder)
+{
+    CheckerFixture f(/*keep_going=*/false);
+    const auto st = [](CohState s) { return static_cast<std::uint64_t>(s); };
+    f.sink.emit(10, TraceComp::L1, TraceEvent::LineInstall, 2, 0x1c0,
+                st(CohState::Modified));
+    EXPECT_EQ(panicOf([&] {
+                  f.sink.emit(20, TraceComp::L1, TraceEvent::LineInstall,
+                              0, 0x1c0, st(CohState::Shared));
+              }),
+              "panic: invariant single-owner violated @20: line 0x1c0 "
+              "writable in cpu2 but 2 copies exist");
+    // A third copy, also writable, arrives at cpu1: the two writable
+    // copies are named in cpu order, not in arrival order.
+    EXPECT_EQ(panicOf([&] {
+                  f.sink.emit(30, TraceComp::L1, TraceEvent::LineInstall,
+                              1, 0x1c0, st(CohState::Exclusive));
+              }),
+              "panic: invariant single-owner violated @30: line 0x1c0 "
+              "writable in cpu1 and cpu2");
+    // cpu1 keeps a shared copy: one writer, three copies.
+    EXPECT_EQ(panicOf([&] {
+                  f.sink.emit(40, TraceComp::L1, TraceEvent::LineDowngrade,
+                              1, 0x1c0, st(CohState::Shared));
+              }),
+              "panic: invariant single-owner violated @40: line 0x1c0 "
+              "writable in cpu2 but 3 copies exist");
+    EXPECT_EQ(f.count("single-owner"), 3u);
+}
+
+TEST(InvariantCheckers, TimestampOrderPanicNamesBothTimestamps)
+{
+    CheckerFixture f(/*keep_going=*/false);
+    const Timestamp earlier = Timestamp::make(5, 0);
+    const Timestamp later = Timestamp::make(9, 1);
+    EXPECT_EQ(panicOf([&] {
+                  f.sink.emit(20, TraceComp::L1, TraceEvent::CohLose, 0,
+                              0x1c0, later.clock, packTsMeta(later),
+                              earlier.clock, packTsMeta(earlier));
+              }),
+              "panic: invariant timestamp-order violated @20: cpu0 lost "
+              "line 0x1c0 to later ts<9,1> (own ts<5,0>)");
+}
+
+TEST(InvariantCheckers, AtomicityPanicNamesTheTornWord)
+{
+    CheckerFixture f(/*keep_going=*/false);
+    f.sink.emit(10, TraceComp::Spec, TraceEvent::TxnElide, 0, 0x80, 0,
+                0, 0, 1);
+    f.sink.emit(20, TraceComp::L1, TraceEvent::TxnRead, 0, 0x200, 5);
+    f.sink.emit(30, TraceComp::L1, TraceEvent::MemWrite, 1, 0x200, 9);
+    EXPECT_EQ(panicOf([&] {
+                  f.sink.emit(40, TraceComp::Spec,
+                              TraceEvent::TxnCommitStart, 0, 0);
+              }),
+              "panic: invariant atomicity violated @40: cpu0 commits "
+              "having read 0x200=5 but globally visible value is 9");
 }
 
 // ---------------------------------------------------------------------
